@@ -290,7 +290,6 @@ def bench_batch_replay(quick: bool, repeats: int = 1) -> dict:
     import tempfile
 
     from repro.analysis.energy import run_figure4
-    from repro.batch import numpy_available
     from repro.workloads import workload
 
     names = ["compress", "li"] if quick else ["compress", "li", "go", "cc1"]
@@ -298,7 +297,6 @@ def bench_batch_replay(quick: bool, repeats: int = 1) -> dict:
     modes = ("none", "hw", "compiler", "hw+compiler")
     loads = [workload(name) for name in names]
     fu = FUClass.IALU
-    have_numpy = numpy_available()
 
     cache_dir = tempfile.mkdtemp(prefix="bench-batch-cache-")
     try:
@@ -306,15 +304,9 @@ def bench_batch_replay(quick: bool, repeats: int = 1) -> dict:
         # and writes the packed sidecar the batch side memory-maps
         run_figure4(fu, workloads=loads, schemes=schemes, swap_modes=modes,
                     trace_cache_dir=cache_dir, engine="batch")
-        if have_numpy:
-            # untimed priming run so numpy's import and first-touch
-            # costs don't land in the first timed batch-np repeat
-            run_figure4(fu, workloads=loads, schemes=schemes,
-                        swap_modes=modes, trace_cache_dir=cache_dir,
-                        engine="batch-np")
 
-        object_wall = batch_wall = batch_np_wall = None
-        obj = bat = npr = None
+        object_wall = batch_wall = None
+        obj = bat = None
         for _ in range(max(1, repeats)):
             start = time.perf_counter()
             obj = run_figure4(fu, workloads=loads, schemes=schemes,
@@ -330,15 +322,6 @@ def bench_batch_replay(quick: bool, repeats: int = 1) -> dict:
             elapsed = time.perf_counter() - start
             if batch_wall is None or elapsed < batch_wall:
                 batch_wall = elapsed
-            if have_numpy:
-                start = time.perf_counter()
-                npr = run_figure4(fu, workloads=loads, schemes=schemes,
-                                  swap_modes=modes,
-                                  trace_cache_dir=cache_dir,
-                                  engine="batch-np")
-                elapsed = time.perf_counter() - start
-                if batch_np_wall is None or elapsed < batch_np_wall:
-                    batch_np_wall = elapsed
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
@@ -347,28 +330,20 @@ def bench_batch_replay(quick: bool, repeats: int = 1) -> dict:
                       cell.hardware_swaps)
                 for key, cell in result.cells.items()}
 
-    for contender, label in ((bat, "batch"), (npr, "batch-np")):
-        if contender is None:
-            continue
-        if _cells(obj) != _cells(contender) \
-                or repr(obj.statistics) != repr(contender.statistics) \
-                or obj.per_workload != contender.per_workload:
-            raise AssertionError(f"{label} engine diverged from the "
-                                 "object-path reference oracle")
+    if _cells(obj) != _cells(bat) \
+            or repr(obj.statistics) != repr(bat.statistics) \
+            or obj.per_workload != bat.per_workload:
+        raise AssertionError("batch engine diverged from the object-path "
+                             "reference oracle")
     return {
         "workloads": names,
         "schemes": list(schemes),
         "swap_modes": list(modes),
-        "numpy_available": have_numpy,
         "object_wall_seconds": round(object_wall, 6),
         "batch_wall_seconds": round(batch_wall, 6),
-        "batch_np_wall_seconds": (round(batch_np_wall, 6)
-                                  if batch_np_wall is not None else None),
         "object_simulations": obj.simulations,
         "batch_simulations": bat.simulations,
         "batch_speedup": round(object_wall / batch_wall, 2),
-        "batch_np_speedup": (round(object_wall / batch_np_wall, 2)
-                             if batch_np_wall is not None else None),
     }
 
 
@@ -394,13 +369,6 @@ def main(argv=None) -> int:
                         help="exit 1 if telemetry-on costs more than PCT%% "
                              "over telemetry-off (within-run comparison, so "
                              "machine speed cancels out)")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="previous BENCH_hotpath.json to compare the "
-                             "telemetry-off numbers against")
-    parser.add_argument("--assert-baseline-within", type=float,
-                        default=None, metavar="PCT",
-                        help="with --baseline: exit 1 if telemetry-off "
-                             "total cycles/sec dropped more than PCT%%")
     parser.add_argument("--output", default=None, metavar="PATH",
                         help="write results as JSON (e.g. BENCH_hotpath.json)")
     parser.add_argument("--no-figure4", action="store_true",
@@ -414,12 +382,6 @@ def main(argv=None) -> int:
                         help="exit 1 if the batch engine is not at least X "
                              "times faster than the object path on the same "
                              "warm cache")
-    parser.add_argument("--assert-batch-np-speedup", type=float,
-                        default=None, metavar="X",
-                        help="exit 1 if the NumPy batch engine is not at "
-                             "least X times faster than the object path "
-                             "(fails when numpy is unavailable: the gate "
-                             "is meaningless without the backend)")
     parser.add_argument("--assert-peak-rss-mb", type=float,
                         default=None, metavar="MB",
                         help="exit 1 if the benchmark process's peak RSS "
@@ -492,24 +454,12 @@ def main(argv=None) -> int:
               f"  speedup {replay['speedup']:.2f}x")
         batch = bench_batch_replay(args.quick, repeats=repeats)
         summary["figure4_batch"] = batch
-        if batch["batch_np_speedup"] is not None:
-            np_part = (f"  batch-np {batch['batch_np_wall_seconds']:.3f}s"
-                       f" ({batch['batch_np_speedup']:.2f}x)")
-        else:
-            np_part = "  batch-np n/a (no numpy)"
         print(f"{'figure4-batch':<24} object"
               f" {batch['object_wall_seconds']:.3f}s"
               f"  batch {batch['batch_wall_seconds']:.3f}s"
-              f"  speedup {batch['batch_speedup']:.2f}x"
-              + np_part)
+              f"  speedup {batch['batch_speedup']:.2f}x")
     summary["peak_rss_mb"] = round(peak_rss_mb(), 1)
     print(f"{'peak-rss':<24} {summary['peak_rss_mb']:.1f} MiB")
-    baseline = None
-    if args.baseline:
-        # read before --output in case both name the same file
-        import json
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)["total"]["cycles_per_sec"]
     if args.output:
         # write-temp-then-rename: a benchmark killed mid-write must not
         # clobber the previous BENCH_hotpath.json with a torn file
@@ -538,23 +488,6 @@ def main(argv=None) -> int:
                   f" below the {args.assert_batch_speedup:.1f}x floor",
                   file=sys.stderr)
             failed = True
-    if args.assert_batch_np_speedup is not None:
-        batch = summary.get("figure4_batch")
-        if batch is None:
-            print("FAIL: --assert-batch-np-speedup needs the figure-4 "
-                  "section (drop --no-figure4)", file=sys.stderr)
-            failed = True
-        elif batch["batch_np_speedup"] is None:
-            print("FAIL: --assert-batch-np-speedup set but numpy is "
-                  "unavailable, so the NumPy backend never ran",
-                  file=sys.stderr)
-            failed = True
-        elif batch["batch_np_speedup"] < args.assert_batch_np_speedup:
-            print(f"FAIL: NumPy batch-engine speedup "
-                  f"{batch['batch_np_speedup']:.2f}x below the "
-                  f"{args.assert_batch_np_speedup:.1f}x floor",
-                  file=sys.stderr)
-            failed = True
     if (args.assert_peak_rss_mb is not None
             and summary["peak_rss_mb"] > args.assert_peak_rss_mb):
         print(f"FAIL: peak RSS {summary['peak_rss_mb']:.1f} MiB exceeds "
@@ -567,18 +500,6 @@ def main(argv=None) -> int:
               f"{args.assert_telemetry_overhead:.1f}% budget",
               file=sys.stderr)
         failed = True
-    if baseline is not None:
-        # the telemetry-OFF trajectory: dormant hooks must stay free
-        current = summary["total"]["cycles_per_sec"]
-        drop = 100.0 * (1.0 - current / baseline)
-        print(f"baseline {baseline:.0f} cyc/s -> {current:.0f} cyc/s "
-              f"({-drop:+.1f}%)")
-        if (args.assert_baseline_within is not None
-                and drop > args.assert_baseline_within):
-            print(f"FAIL: telemetry-off throughput dropped {drop:.1f}% "
-                  f"(budget {args.assert_baseline_within:.1f}%)",
-                  file=sys.stderr)
-            failed = True
     return 1 if failed else 0
 
 

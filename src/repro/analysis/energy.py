@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..batch import (ENGINE_BACKENDS, ENGINES, drive_stream, packed_cached,
-                     resolve_engine)
+from ..batch import ENGINES, drive_stream, packed_cached
 from ..compiler import swap_optimize
 from ..cpu.config import MachineConfig, default_config
 from ..core.info_bits import InfoBitScheme, scheme_for
@@ -158,6 +157,11 @@ def statistics_from_sources(sources: Sequence[IssueSource],
     return stats, patterns, usage
 
 
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, not {engine!r}")
+
+
 def _captured_stream(program: Program, config: MachineConfig,
                      fu_class: FUClass, cache_dir, engine: str = "object"
                      ) -> Tuple[IssueSource, bool]:
@@ -168,18 +172,14 @@ def _captured_stream(program: Program, config: MachineConfig,
     key is replayed instead, and a miss both simulates and populates the
     cache.  Returns ``(stream, cache_hit)``.
 
-    With the batch engines the stream comes back as a
+    With the ``"batch"`` engine the stream comes back as a
     :class:`~repro.batch.columns.PackedTrace` (mmapped from the cache
-    sidecar on a warm hit — the gzip JSON trace is not parsed at all)
-    stamped with the engine's kernel backend (``"batch-np"`` →
-    vectorized NumPy kernels, ``"batch"`` → pure Python);
+    sidecar on a warm hit — the gzip JSON trace is not parsed at all);
     ``"object"`` keeps the classic decoded stream as the reference path.
     """
     fu_classes = (fu_class,)
-    if engine in ENGINE_BACKENDS:
-        packed, hit = packed_cached(program, config, cache_dir, fu_classes)
-        packed.backend = ENGINE_BACKENDS[engine]
-        return packed, hit
+    if engine == "batch":
+        return packed_cached(program, config, cache_dir, fu_classes)
     if cache_dir is not None:
         found = cached_source(program, config, cache_dir, fu_classes)
         if found is not None:
@@ -226,7 +226,7 @@ def run_figure4(fu_class: FUClass,
                 swap_modes: Sequence[str] = ("none", "hw", "hw+compiler"),
                 scheme: Optional[InfoBitScheme] = None,
                 trace_cache_dir=None,
-                engine: str = "auto",
+                engine: str = "batch",
                 jobs: int = 1,
                 trace_cache_limit_mb: Optional[float] = None
                 ) -> Figure4Result:
@@ -245,17 +245,15 @@ def run_figure4(fu_class: FUClass,
     runs).  ``trace_cache_limit_mb`` prunes the cache LRU-style after
     the run, never evicting an entry this run just used.
 
-    ``engine`` picks the evaluation path: ``"auto"`` (default) resolves
-    to ``"batch-np"`` — the fused columnar kernels vectorized on NumPy
-    — when NumPy is importable, else ``"batch"`` (the same kernels in
-    pure Python); ``"object"`` is the classic decoded-stream loop, kept
-    as the reference oracle the parity tests compare against.  All
-    engines produce bit-identical results.  ``jobs`` > 1 fans the
-    per-workload replay work across a process pool (results merge
-    deterministically, so the output is byte-stable regardless of the
-    job count).
+    ``engine`` picks the evaluation path: ``"batch"`` (default) runs
+    the fused columnar kernels over packed streams; ``"object"`` is the
+    classic decoded-stream loop, kept as the reference oracle the
+    parity tests compare against.  Both produce bit-identical results.
+    ``jobs`` > 1 fans the per-workload replay work across a process
+    pool (results merge deterministically, so the output is byte-stable
+    regardless of the job count).
     """
-    engine = resolve_engine(engine)
+    _check_engine(engine)
     if jobs > 1:
         from .parallel import ParallelFigureRunner
         return ParallelFigureRunner(jobs=jobs).run_figure4(

@@ -177,14 +177,14 @@ class ParallelFigureRunner:
                                                  "hw+compiler"),
                     scheme: Optional[InfoBitScheme] = None,
                     trace_cache_dir=None,
-                    engine: str = "auto",
+                    engine: str = "batch",
                     trace_cache_limit_mb: Optional[float] = None
                     ) -> "_energy.Figure4Result":
         """The parallel twin of :func:`repro.analysis.energy.run_figure4`
         — same arguments, bit-identical result."""
-        # resolved here (not just in run_figure4) so workers receive a
-        # concrete engine whatever entry point the caller used
-        engine = _energy.resolve_engine(engine)
+        # checked here too (not just in run_figure4) so a direct caller
+        # cannot ship an unknown engine to the workers
+        _energy._check_engine(engine)
         if stats_source not in ("measured", "paper"):
             raise ValueError("stats_source must be 'measured' or 'paper'")
         config = config or default_config()

@@ -2,38 +2,33 @@
 
 Decode a recorded issue stream **once** into flat packed columns
 (:mod:`~repro.batch.columns`), evaluate every requested policy/swap
-cell with fused kernels over those columns
-(:mod:`~repro.batch.kernels`, vectorized on NumPy when importable via
-:mod:`~repro.batch.kernels_np`), and persist the columns as a
-memory-mappable sidecar next to the cached trace
+cell with fused kernels over those columns (:mod:`~repro.batch.kernels`,
+NumPy array kernels plus one scalar full-Hamming matcher), and persist
+the columns as a memory-mappable sidecar next to the cached trace
 (:mod:`~repro.batch.sidecar`).  The object path in
 :mod:`repro.streams` remains the reference oracle: the parity tests in
 ``tests/batch`` prove bit-identical ``EvaluationTotals`` and telemetry
-counters across the engines.
+counters between the two engines.
 """
 
 from .columns import (ALL_COLUMNS, F_COMMUT, F_CRITICAL, F_HAS_TWO,
                       F_HW_SWAP, F_SPEC, F_SWAPPED, GROUP_COLUMNS,
                       NUMPY_DTYPES, OP_COLUMNS, PackedColumns, PackedTrace,
                       SWAPPED_CASE, pack_stream)
-from .engine import (ENGINE_BACKENDS, ENGINES, drive_stream, pack_source,
-                     packed_cached, resolve_engine)
-from .kernels import (BACKENDS, POPCOUNT16, batch_drive, numpy_available,
-                      resolve_backend)
-from .kernels_np import NUMPY_AVAILABLE, popcount64
+from .engine import ENGINES, drive_stream, pack_source, packed_cached
+from .kernels import POPCOUNT16, batch_drive, popcount64
 from .sidecar import (MAGIC, PACK_VERSION, PackFormatError,
                       SUPPORTED_PACK_VERSIONS, load_sidecar, sidecar_path,
                       write_sidecar)
 
 __all__ = [
-    "ALL_COLUMNS", "BACKENDS", "ENGINES", "ENGINE_BACKENDS",
-    "GROUP_COLUMNS", "MAGIC", "NUMPY_AVAILABLE", "NUMPY_DTYPES",
+    "ALL_COLUMNS", "ENGINES", "GROUP_COLUMNS", "MAGIC", "NUMPY_DTYPES",
     "OP_COLUMNS", "PACK_VERSION", "POPCOUNT16", "PackFormatError",
     "PackedColumns", "PackedTrace", "SUPPORTED_PACK_VERSIONS",
     "SWAPPED_CASE",
     "F_COMMUT", "F_CRITICAL", "F_HAS_TWO", "F_HW_SWAP", "F_SPEC",
     "F_SWAPPED",
-    "batch_drive", "drive_stream", "load_sidecar", "numpy_available",
-    "pack_source", "pack_stream", "packed_cached", "popcount64",
-    "resolve_backend", "resolve_engine", "sidecar_path", "write_sidecar",
+    "batch_drive", "drive_stream", "load_sidecar", "pack_source",
+    "pack_stream", "packed_cached", "popcount64", "sidecar_path",
+    "write_sidecar",
 ]

@@ -65,8 +65,8 @@ ALL_COLUMNS = GROUP_COLUMNS + OP_COLUMNS
 
 #: array typecode -> little-endian NumPy dtype string.  Columns are
 #: stored as ``array.array`` (fresh packs) or ``memoryview`` casts over
-#: the sidecar mmap; both expose the buffer protocol, so the NumPy
-#: kernel backend wraps them with ``np.frombuffer(column, dtype)`` —
+#: the sidecar mmap; both expose the buffer protocol, so the array
+#: kernels wrap them with ``np.frombuffer(column, dtype)`` —
 #: a zero-copy view, never a converted copy.
 NUMPY_DTYPES = {"Q": "<u8", "I": "<u4", "H": "<u2", "B": "u1", "i": "<i4"}
 
@@ -120,11 +120,6 @@ class PackedTrace:
                  result: Optional[SimulationResult] = None):
         self.name = name
         self.result = result
-        #: preferred kernel backend for :func:`~repro.batch.kernels
-        #: .batch_drive` ("np"/"python"; None = auto-detect).  Set by
-        #: the engine layer so an explicit ``--engine batch`` stays on
-        #: the pure-Python kernels even when NumPy is importable.
-        self.backend: Optional[str] = None
         self.classes: Dict[FUClass, PackedColumns] = {}
         self.class_list: List[FUClass] = []
         #: per global group: index into ``class_list``

@@ -36,37 +36,13 @@ from ..isa.program import Program
 from ..streams import (IssueSource, LiveSource, capture, cached_source,
                        drive, record_cached, trace_cache_key)
 from .columns import PackedTrace, pack_stream
-from .kernels import batch_drive, numpy_available
+from .kernels import batch_drive
 from .sidecar import (PackFormatError, load_sidecar, sidecar_path,
                       write_sidecar)
 
-#: selectable evaluation engines: ``batch-np`` (columnar kernels on the
-#: NumPy backend), ``batch`` (columnar kernels, pure Python), and
-#: ``object`` (the decoded-stream reference oracle)
-ENGINES = ("batch-np", "batch", "object")
-
-#: per-engine kernel backend for :func:`~repro.batch.kernels.batch_drive`
-ENGINE_BACKENDS = {"batch-np": "np", "batch": "python"}
-
-
-def resolve_engine(engine: Optional[str] = "auto") -> str:
-    """Map an engine request to a concrete member of :data:`ENGINES`.
-
-    ``None``/``"auto"`` picks ``"batch-np"`` when NumPy is importable
-    and degrades gracefully to ``"batch"`` otherwise, so default runs
-    are always as fast as the interpreter allows.  Requesting
-    ``"batch-np"`` explicitly without NumPy raises instead of silently
-    running slower.
-    """
-    if engine is None or engine == "auto":
-        return "batch-np" if numpy_available() else "batch"
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be 'auto' or one of {ENGINES}")
-    if engine == "batch-np" and not numpy_available():
-        raise RuntimeError(
-            "engine 'batch-np' requires numpy, which is not importable; "
-            "use engine='auto' to fall back to the Python batch engine")
-    return engine
+#: selectable evaluation engines: ``batch`` (the fused columnar kernels)
+#: and ``object`` (the decoded-stream reference oracle)
+ENGINES = ("batch", "object")
 
 
 def pack_source(source: IssueSource,
@@ -145,12 +121,9 @@ def drive_stream(stream, consumers: Sequence, finalize: bool = True):
     """Drive consumers over a packed *or* object stream.
 
     Lets the experiment drivers keep one code path whichever engine
-    produced the stream: packed traces go through the fused kernels
-    (on the kernel backend recorded in ``stream.backend``, or
-    auto-detected when unset), everything else through the classic
-    object loop.
+    produced the stream: packed traces go through the fused kernels,
+    everything else through the classic object loop.
     """
     if isinstance(stream, PackedTrace):
-        return batch_drive(stream, consumers, finalize=finalize,
-                           backend=stream.backend)
+        return batch_drive(stream, consumers, finalize=finalize)
     return drive(stream, consumers, finalize=finalize)

@@ -10,15 +10,42 @@ telemetry collectors, and every downstream aggregation work unchanged —
 the object path remains the reference oracle and the parity tests in
 ``tests/batch`` hold the two bit-identical.
 
-What makes the kernels fast is exactly what the issue promises:
+The per-op work runs as NumPy array operations over zero-copy
+``np.frombuffer`` views of the existing
+:class:`~repro.batch.columns.PackedColumns` (``array``/``memoryview``
+storage, so the object path keeps working on the very same trace):
 
-* per-module previous-operand state lives in local lists, not MicroOp
-  or power-model attribute access;
-* information-bit cases come from the precomputed ``case`` column;
-* popcounts go through :data:`POPCOUNT16`, a 16-bit table (or the
-  native ``int.bit_count`` where that is faster);
-* telemetry case counters accumulate in kernel locals and flush once
-  per run instead of once per op.
+* **Selection** (the evaluators' speculative filter, then the clamp to
+  the module count) becomes a rank-within-group computation from the
+  offsets column: a cumulative sum of the non-speculative mask gives
+  each op's rank among its group's survivors, and ``rank < num_modules``
+  is the clamp.
+* **Accounting** is shared by every array kernel: once per-op module
+  choices exist, a stable argsort by module turns the stream into
+  contiguous per-module runs *in stream order*; the "previous operands"
+  of each op are then just the shifted run (seeded from the power
+  model's latched state at run starts), so every XOR/popcount happens
+  in one shot and per-module totals come from ``np.add.reduceat``.
+  Popcounts go through :data:`POPCOUNT16` viewed as a NumPy table over
+  the ``uint16`` lanes of each 64-bit word.
+* **LUT steering** (the ``lut`` family and the BDD-derived ``bdd``
+  tables alike) packs each group's (length, leading cases) into a
+  collision-free integer key, calls ``LUTPolicy._assign_cases`` once per
+  *unique* key (``np.unique``), and expands module choices with one 2-D
+  gather.
+* **1-bit Hamming** packs each group's (case, swappable) codes into a
+  per-group opkey column; the decision layer — a dict memoised on
+  (opkey, module info-bit state) around :func:`_one_bit_decide` — stays
+  a Python loop because each group's decision feeds the next group's
+  key, but it touches one int per *group* (not per op) and expansion
+  back to ops is columnar.
+* **Full Hamming** is the one scalar fused loop: its exact cost matrix
+  reads the full-width latched images the previous group's assignment
+  just wrote, so the groups are sequentially dependent by construction
+  and there is no whole-column formulation.  Per-module state lives in
+  local lists, popcounts use the native ``int.bit_count`` (or
+  :data:`POPCOUNT16` before 3.10), and the matcher prunes and memoises
+  permutations.
 
 Semantics replicated exactly (see the evaluator/collector sources):
 the clamp-to-module-count *after* the speculative filter for deferred
@@ -26,6 +53,7 @@ evaluators, first-best tie-breaking in the brute-force matcher (via
 :func:`repro.core.assignment.solve` itself), the round-robin rotation
 advancing once per non-empty group, and the LUT spare-module remapping
 (shared with the object path through ``LUTPolicy._assign_cases``).
+All arithmetic is integer-exact (int64/uint64 sums, never float).
 """
 
 from __future__ import annotations
@@ -34,23 +62,33 @@ import itertools
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
+import numpy as np
+
 from ..core.assignment import _BRUTE_FORCE_LIMIT, solve as _solve
 from ..core.power import FUPowerModel
 from ..core.registry import REGISTRY
-from ..core.steering import LUTPolicy, PolicyEvaluator
+from ..core.steering import LUTPolicy, OneBitHammingPolicy, PolicyEvaluator
 from ..core.swapping import HardwareSwapper
 from ..isa.encoding import bit_count as _native_bit_count
 
 if TYPE_CHECKING:  # runtime-lazy: analysis itself imports this package
     from ..analysis.bit_patterns import BitPatternCollector
     from ..analysis.module_usage import ModuleUsageCollector
-from .columns import (F_HAS_TWO, F_HW_SWAP, F_SPEC, PackedColumns,
+from .columns import (F_HW_SWAP, F_SPEC, NUMPY_DTYPES, PackedColumns,
                       PackedTrace, SWAPPED_CASE)
 
-#: popcount of every 16-bit value — the classic table the issue calls
-#: for; on 3.11+ ``int.bit_count`` beats the double lookup, so the
-#: kernels take whichever is faster for the running interpreter.
+#: popcount of every 16-bit value; the array kernels index it lane by
+#: lane, while on 3.10+ ``int.bit_count`` beats the double lookup, so
+#: the scalar kernel takes whichever is faster for the interpreter.
 POPCOUNT16 = bytes(bin(value).count("1") for value in range(1 << 16))
+
+#: POPCOUNT16 as an indexable ndarray (zero-copy view of the bytes)
+_POP16 = np.frombuffer(POPCOUNT16, dtype=np.uint8)
+_SWAPPED_CASE_NP = np.array(SWAPPED_CASE, dtype=np.uint8)
+
+#: widest machine the packed 1-bit-Hamming opkey fits in one int64
+#: (3 bits per op, up to num_modules ops per group)
+_ONE_BIT_MAX_MODULES = 16
 
 
 def _table_bit_count(value: int, _table=POPCOUNT16) -> int:
@@ -68,36 +106,24 @@ def _pick_bit_count() -> Callable[[int], int]:
 _bit_count = _pick_bit_count()
 
 
-# ----- evaluator kernels ------------------------------------------------------
+def popcount64(values) -> np.ndarray:
+    """Vectorized popcount of a uint64 array via :data:`POPCOUNT16`.
 
-
-def _select_groups(cols: PackedColumns, num_modules: int,
-                   exclude_spec: bool):
-    """Yield per-group index lists after the evaluator's filter/clamp.
-
-    Inclusive evaluators clamp the raw group to ``num_modules``;
-    deferred (wrong-path-excluding) evaluators filter speculative ops
-    *first*, then clamp — exactly ``_account_ops``'s order.  Groups
-    with nothing left are skipped entirely (``cycles_seen`` untouched).
+    Views each 64-bit word as four 16-bit lanes and sums the table
+    lookups — the array twin of ``_table_bit_count``, checked against
+    the same oracle in ``tests/batch/test_popcount.py``.
     """
-    offsets = cols.offsets
-    flags = cols.flags
-    for g in range(cols.n_groups):
-        start = offsets[g]
-        end = offsets[g + 1]
-        if start == end:
-            continue
-        if exclude_spec:
-            sel = [i for i in range(start, end) if not (flags[i] & F_SPEC)]
-            if not sel:
-                continue
-            if len(sel) > num_modules:
-                del sel[num_modules:]
-            yield sel
-        else:
-            if end - start > num_modules:
-                end = start + num_modules
-            yield range(start, end)
+    words = np.ascontiguousarray(values, dtype=np.uint64)
+    lanes = _POP16[words.view(np.uint16)].reshape(-1, 4)
+    # four strided adds beat reduce-along-axis by ~2x at these widths
+    out = lanes[:, 0].astype(np.int64)
+    out += lanes[:, 1]
+    out += lanes[:, 2]
+    out += lanes[:, 3]
+    return out
+
+
+# ----- shared kernel state ----------------------------------------------------
 
 
 class _EvalContext:
@@ -148,165 +174,194 @@ class _EvalContext:
             ev._swaps_seen += self.router_swaps
 
 
-def _run_positional(ev: PolicyEvaluator, cols: PackedColumns,
-                    round_robin: bool) -> None:
-    """Original (op k -> module k) and round-robin steering, fused."""
-    ctx = _EvalContext(ev, cols)
-    nm = ctx.nm
-    mask = ctx.mask
-    bc = _bit_count
-    prev1, prev2 = ctx.prev1, ctx.prev2
+# ----- columnar machinery -----------------------------------------------------
+
+
+def _view(cols: PackedColumns, name: str, typecode: str) -> np.ndarray:
+    """Zero-copy ndarray view over one column (array.array or mmap)."""
+    return np.frombuffer(cols.column(name), dtype=NUMPY_DTYPES[typecode])
+
+
+def _op_views(cols: PackedColumns):
+    return (_view(cols, "op1", "Q"), _view(cols, "op2", "Q"),
+            _view(cols, "flags", "B"), _view(cols, "case", "B"))
+
+
+def _offsets_view(cols: PackedColumns) -> np.ndarray:
+    return _view(cols, "offsets", "I").astype(np.int64)
+
+
+class _Selected:
+    """Columnar result of the evaluators' filter/clamp: which ops each
+    evaluator accounts, and where their (post-filter) groups start."""
+
+    __slots__ = ("idx", "rank", "starts", "n_of", "jop", "cycles")
+
+    def __init__(self, idx, rank, starts, n_of, jop, cycles):
+        self.idx = idx          # selected op indices, stream order
+        self.rank = rank        # rank of each selected op in its group
+        self.starts = starts    # index into idx where each group starts
+        self.n_of = n_of        # ops per (non-empty) selected group
+        self.jop = jop          # selected-group ordinal per selected op
+        self.cycles = cycles    # number of non-empty selected groups
+
+
+def _select(offsets: np.ndarray, flags: np.ndarray,
+            num_modules: int, exclude_spec: bool) -> Optional[_Selected]:
+    """Vectorized :func:`_select_groups`: spec-filter *then* clamp,
+    exactly the deferred evaluators' ``_account_ops`` order."""
+    n_groups = len(offsets) - 1
+    n_ops = int(offsets[-1]) if n_groups > 0 else 0
+    if n_ops == 0:
+        return None
+    sizes = np.diff(offsets)
+    group_start = np.repeat(offsets[:-1], sizes)
+    if exclude_spec:
+        keep = (flags & F_SPEC) == 0
+        before = np.cumsum(keep, dtype=np.int64) - keep
+        rank = before - before[group_start]
+        sel_mask = keep & (rank < num_modules)
+    else:
+        rank = np.arange(n_ops, dtype=np.int64) - group_start
+        sel_mask = rank < num_modules
+    idx = np.flatnonzero(sel_mask)
+    if idx.size == 0:
+        return None
+    gid_sel = group_start[idx]  # any per-group-constant works as a group id
+    starts = np.flatnonzero(np.r_[True, gid_sel[1:] != gid_sel[:-1]])
+    n_of = np.diff(np.r_[starts, idx.size])
+    jop = np.repeat(np.arange(starts.size, dtype=np.int64), n_of)
+    return _Selected(idx, rank[idx], starts, n_of, jop, int(starts.size))
+
+
+def _pre_swap(ctx: _EvalContext, sel: _Selected, op1v, op2v, flagsv, casev):
+    """Apply the case-triggered pre-swap columnar; returns the effective
+    operands/cases plus the raw pre-swap mask (1-bit-ham needs it)."""
+    idx = sel.idx
+    o1 = op1v[idx]
+    o2 = op2v[idx]
+    case = casev[idx]
+    if ctx.swapper is None:
+        return o1, o2, case, None
+    pre = ((flagsv[idx] & F_HW_SWAP) != 0) & (case == ctx.swap_case)
+    if pre.any():
+        o1, o2 = np.where(pre, o2, o1), np.where(pre, o1, o2)
+        case = np.where(pre, _SWAPPED_CASE_NP[case], case)
+    ctx.pre_swaps = int(pre.sum())
+    return o1, o2, case, pre
+
+
+def _accumulate(ctx: _EvalContext, o1, o2, module, case) -> None:
+    """Charge selected ops to their modules, all columns at once.
+
+    A stable sort by module yields per-module contiguous runs in stream
+    order; each op's previous operands are then the run shifted by one,
+    seeded from the latched power-model state at run starts.  Totals,
+    per-module tracking, telemetry case counts and the final latched
+    state all come out of the sorted arrays with integer-exact sums.
+    """
+    order = np.argsort(module, kind="stable")
+    m_sorted = module[order]
+    s1 = o1[order]
+    s2 = o2[order]
+    run_starts = np.flatnonzero(np.r_[True, m_sorted[1:] != m_sorted[:-1]])
+    run_modules = m_sorted[run_starts]
+    init1 = np.array(ctx.prev1, dtype=np.uint64)
+    init2 = np.array(ctx.prev2, dtype=np.uint64)
+    p1 = np.empty_like(s1)
+    p2 = np.empty_like(s2)
+    p1[1:] = s1[:-1]
+    p2[1:] = s2[:-1]
+    p1[run_starts] = init1[run_modules]
+    p2[run_starts] = init2[run_modules]
+    mask = np.uint64(ctx.mask)
+    bits = popcount64((s1 ^ p1) & mask) + popcount64((s2 ^ p2) & mask)
+    ctx.total_bits += int(bits.sum())
+    ctx.total_ops += int(module.size)
+    run_ends = np.r_[run_starts[1:], m_sorted.size] - 1
+    last1 = s1[run_ends]
+    last2 = s2[run_ends]
     track, track_ops = ctx.track, ctx.track_ops
-    op1c, op2c = cols.op1, cols.op2
-    flagsc, casec = cols.flags, cols.case
-    swapping = ctx.swapper is not None
-    swap_case = ctx.swap_case
-    swc = SWAPPED_CASE
-    tel = ctx.telemetry
-    tcounts = ctx.tcounts
-    total_bits = 0
-    total_ops = 0
-    pre_swaps = 0
-    rr_next = ev.policy._next if round_robin else 0
+    if track is not None:
+        run_bits = np.add.reduceat(bits, run_starts)
+        run_lens = np.diff(np.r_[run_starts, m_sorted.size])
+    prev1, prev2 = ctx.prev1, ctx.prev2
+    for r in range(run_modules.size):  # one iteration per *module*, not op
+        m = int(run_modules[r])
+        prev1[m] = int(last1[r])
+        prev2[m] = int(last2[r])
+        if track is not None:
+            track[m] += int(run_bits[r])
+            track_ops[m] += int(run_lens[r])
+    if ctx.telemetry:
+        counts = np.bincount(case, minlength=4)
+        tcounts = ctx.tcounts
+        for c in range(4):
+            tcounts[c] += int(counts[c])
 
-    for sel in _select_groups(cols, nm, not ev.include_speculative):
-        ctx.cycles_seen += 1
-        k = 0
-        for i in sel:
-            o1 = op1c[i]
-            o2 = op2c[i]
-            case = casec[i]
-            if swapping and (flagsc[i] & F_HW_SWAP) and case == swap_case:
-                o1, o2 = o2, o1
-                case = swc[case]
-                pre_swaps += 1
-            module = (rr_next + k) % nm if round_robin else k
-            cost = (bc((prev1[module] ^ o1) & mask)
-                    + bc((prev2[module] ^ o2) & mask))
-            prev1[module] = o1
-            prev2[module] = o2
-            total_bits += cost
-            if track is not None:
-                track[module] += cost
-                track_ops[module] += 1
-            if tel:
-                tcounts[case] += 1
-            k += 1
-        total_ops += k
-        if round_robin:
-            rr_next = (rr_next + k) % nm
 
+# ----- array evaluator kernels ------------------------------------------------
+
+
+def _np_run_positional(ev: PolicyEvaluator, cols: PackedColumns,
+                       round_robin: bool) -> None:
+    """Original (op k -> module k) and round-robin steering."""
+    ctx = _EvalContext(ev, cols)
+    op1v, op2v, flagsv, casev = _op_views(cols)
+    sel = _select(_offsets_view(cols), flagsv, ctx.nm,
+                  not ev.include_speculative)
+    if sel is None:
+        ctx.flush()
+        return
+    ctx.cycles_seen = sel.cycles
+    o1, o2, case, _ = _pre_swap(ctx, sel, op1v, op2v, flagsv, casev)
     if round_robin:
-        ev.policy._next = rr_next
-    ctx.total_bits = total_bits
-    ctx.total_ops = total_ops
-    ctx.pre_swaps = pre_swaps
+        rr0 = ev.policy._next
+        # the rotation pointer at each group's start: the initial pointer
+        # plus every preceding non-empty group's op count, like the
+        # object policy advancing once per issued group
+        taken_before = np.r_[0, np.cumsum(sel.n_of)[:-1]]
+        module = (rr0 + taken_before[sel.jop] + sel.rank) % ctx.nm
+        ev.policy._next = int((rr0 + int(sel.n_of.sum())) % ctx.nm)
+    else:
+        module = sel.rank
+    _accumulate(ctx, o1, o2, module, case)
     ctx.flush()
 
 
-def _run_lut(ev: PolicyEvaluator, cols: PackedColumns) -> None:
-    """Table-driven LUT steering with an int-keyed assignment cache."""
+def _np_run_lut(ev: PolicyEvaluator, cols: PackedColumns) -> None:
+    """Table-driven LUT steering: one ``_assign_cases`` per unique
+    (length, leading-cases) key, expanded with a single 2-D gather."""
     ctx = _EvalContext(ev, cols)
     policy: LUTPolicy = ev.policy
     nm = ctx.nm
-    mask = ctx.mask
-    bc = _bit_count
-    prev1, prev2 = ctx.prev1, ctx.prev2
-    track, track_ops = ctx.track, ctx.track_ops
-    op1c, op2c = cols.op1, cols.op2
-    flagsc, casec = cols.flags, cols.case
-    swapping = ctx.swapper is not None
-    swap_case = ctx.swap_case
-    swc = SWAPPED_CASE
-    tel = ctx.telemetry
-    tcounts = ctx.tcounts
-    total_bits = 0
-    total_ops = 0
-    pre_swaps = 0
-    vector_ops = policy._vector_ops
-    # (length + case bits) -> modules tuple; length determines how many
-    # cases are folded in, so the packed key is collision-free
-    table = {}
-    g1: List[int] = []
-    g2: List[int] = []
-    gc: List[int] = []
-
-    for sel in _select_groups(cols, nm, not ev.include_speculative):
-        ctx.cycles_seen += 1
-        if swapping:
-            del g1[:], g2[:], gc[:]
-            for i in sel:
-                o1 = op1c[i]
-                o2 = op2c[i]
-                case = casec[i]
-                if (flagsc[i] & F_HW_SWAP) and case == swap_case:
-                    o1, o2 = o2, o1
-                    case = swc[case]
-                    pre_swaps += 1
-                g1.append(o1)
-                g2.append(o2)
-                gc.append(case)
-            n = len(gc)
-            key = n
-            for case in gc[:vector_ops]:
-                key = (key << 2) | case
-            modules = table.get(key)
-            if modules is None:
-                modules = policy._assign_cases(tuple(gc[:vector_ops]),
-                                               n, nm).modules
-                table[key] = modules
-            for k in range(n):
-                module = modules[k]
-                o1 = g1[k]
-                o2 = g2[k]
-                cost = (bc((prev1[module] ^ o1) & mask)
-                        + bc((prev2[module] ^ o2) & mask))
-                prev1[module] = o1
-                prev2[module] = o2
-                total_bits += cost
-                if track is not None:
-                    track[module] += cost
-                    track_ops[module] += 1
-                if tel:
-                    tcounts[gc[k]] += 1
-            total_ops += n
-        else:
-            # no pre-swapper: steer straight off the case column, no
-            # per-group scratch lists at all
-            n = len(sel)
-            key = n
-            taken = 0
-            for i in sel:
-                if taken == vector_ops:
-                    break
-                key = (key << 2) | casec[i]
-                taken += 1
-            modules = table.get(key)
-            if modules is None:
-                cases = tuple(casec[i] for i in sel)[:vector_ops]
-                modules = policy._assign_cases(cases, n, nm).modules
-                table[key] = modules
-            k = 0
-            for i in sel:
-                module = modules[k]
-                o1 = op1c[i]
-                o2 = op2c[i]
-                cost = (bc((prev1[module] ^ o1) & mask)
-                        + bc((prev2[module] ^ o2) & mask))
-                prev1[module] = o1
-                prev2[module] = o2
-                total_bits += cost
-                if track is not None:
-                    track[module] += cost
-                    track_ops[module] += 1
-                if tel:
-                    tcounts[casec[i]] += 1
-                k += 1
-            total_ops += n
-
-    ctx.total_bits = total_bits
-    ctx.total_ops = total_ops
-    ctx.pre_swaps = pre_swaps
+    op1v, op2v, flagsv, casev = _op_views(cols)
+    sel = _select(_offsets_view(cols), flagsv, nm, not ev.include_speculative)
+    if sel is None:
+        ctx.flush()
+        return
+    ctx.cycles_seen = sel.cycles
+    o1, o2, case, _ = _pre_swap(ctx, sel, op1v, op2v, flagsv, casev)
+    vo = policy._vector_ops
+    # a collision-free key, column-wise: length in the high bits, then
+    # the first min(length, vector_ops) cases big-endian
+    t = np.minimum(sel.n_of, vo)
+    t_op = t[sel.jop]
+    shift = np.maximum(2 * (t_op - 1 - sel.rank), 0)
+    contrib = np.where(sel.rank < t_op, case.astype(np.int64) << shift, 0)
+    key = (sel.n_of << (2 * t)) | np.add.reduceat(contrib, sel.starts)
+    uniq, first, inverse = np.unique(key, return_index=True,
+                                     return_inverse=True)
+    table = np.zeros((uniq.size, nm), dtype=np.int64)
+    for u in range(uniq.size):  # one policy call per unique key
+        j = int(first[u])
+        start = int(sel.starts[j])
+        n = int(sel.n_of[j])
+        cases = tuple(int(c) for c in case[start:start + min(n, vo)])
+        modules = policy._assign_cases(cases, n, nm).modules
+        table[u, :len(modules)] = modules
+    module = table[inverse[sel.jop], sel.rank]
+    _accumulate(ctx, o1, o2, module, case)
     ctx.flush()
 
 
@@ -352,6 +407,186 @@ def _match(costs: List[List[int]], n: int, nm: int,
             best_total = total
             best_perm = perm
     return best_perm
+
+
+def _one_bit_decide(gc: Sequence[int], gsw: Sequence[bool],
+                    pb1: int, pb2: int, nm: int, modrange,
+                    perms_by_n: Dict[int, List[Tuple[int, ...]]]
+                    ) -> Tuple[Tuple[int, ...], Tuple[bool, ...], int, int]:
+    """One 1-bit-Hamming group decision from the memo-miss path.
+
+    Given the group's (post-pre-swap) cases, per-op swappability, and
+    the packed per-module info-bit state, build the 1-bit cost matrix,
+    match, and recover the router swaps exactly as ``cost_matrix``
+    chose them.  Returns ``(modules, chosen_swaps, next_pb1, next_pb2)``.
+    """
+    n = len(gc)
+    costs: List[List[int]] = []
+    for k in range(n):
+        case = gc[k]
+        b1 = (case >> 1) & 1
+        b2 = case & 1
+        row = []
+        for m in modrange:
+            p1 = (pb1 >> m) & 1
+            p2 = (pb2 >> m) & 1
+            direct = abs(b1 - p1) + abs(b2 - p2)
+            if gsw[k]:
+                exchanged = abs(b2 - p1) + abs(b1 - p2)
+                if exchanged < direct:
+                    row.append(exchanged)
+                    continue
+            row.append(direct)
+        costs.append(row)
+    modules = _match(costs, n, nm, perms_by_n)
+    chosen_swaps = []
+    next_pb1 = pb1
+    next_pb2 = pb2
+    for k in range(n):
+        module = modules[k]
+        case = gc[k]
+        b1 = (case >> 1) & 1
+        b2 = case & 1
+        swap = False
+        if gsw[k]:
+            # against the group-start state, like the matrix
+            p1 = (pb1 >> module) & 1
+            p2 = (pb2 >> module) & 1
+            # the matrix keeps only the best cost per cell; recover the
+            # swap exactly as cost_matrix chose it
+            swap = (abs(b2 - p1) + abs(b1 - p2)
+                    < abs(b1 - p1) + abs(b2 - p2))
+        chosen_swaps.append(swap)
+        bit = 1 << module
+        new1, new2 = (b2, b1) if swap else (b1, b2)
+        next_pb1 = (next_pb1 & ~bit) | (new1 << module)
+        next_pb2 = (next_pb2 & ~bit) | (new2 << module)
+    return modules, tuple(chosen_swaps), next_pb1, next_pb2
+
+
+def _np_run_one_bit_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
+    """1-bit Hamming matcher: columnar opkeys, memoised decisions.
+
+    The matcher's entire decision — module choice and router swaps — is
+    a function of each op's (case, swappable) and each module's previous
+    information-bit pair, so it is memoised on packed-int keys.  The
+    per-group decision chain (each group's assignment updates the module
+    info-bit state the next group's key depends on) runs as a Python
+    loop over *groups*; everything per-op — key packing, module and
+    router-swap expansion, operand selection, full-width accounting
+    against the raw latched images — is columnar.
+    """
+    ctx = _EvalContext(ev, cols)
+    policy: OneBitHammingPolicy = ev.policy
+    allow_swap = policy.allow_swap
+    nm = ctx.nm
+    op1v, op2v, flagsv, casev = _op_views(cols)
+    sel = _select(_offsets_view(cols), flagsv, nm, not ev.include_speculative)
+    if sel is None:
+        ctx.flush()
+        return
+    ctx.cycles_seen = sel.cycles
+    idx = sel.idx
+    raw_case = casev[idx]
+    hw = (flagsv[idx] & F_HW_SWAP) != 0
+    if ctx.swapper is not None:
+        pre = hw & (raw_case == ctx.swap_case)
+        case = np.where(pre, _SWAPPED_CASE_NP[raw_case], raw_case)
+        ctx.pre_swaps = int(pre.sum())
+    else:
+        pre = np.zeros(idx.size, dtype=bool)
+        case = raw_case
+    swappable = hw if allow_swap else np.zeros(idx.size, dtype=bool)
+    # 3 bits per op, packed big-endian per group
+    field = (case.astype(np.int64) << 1) | swappable
+    opkeys = np.add.reduceat(field << (3 * (sel.n_of[sel.jop] - 1 - sel.rank)),
+                             sel.starts)
+
+    extract = policy.scheme.extract
+    pb1 = 0  # bit m = info bit of module m's latched first operand
+    pb2 = 0
+    for m in range(nm):
+        pb1 |= extract(ctx.prev1[m]) << m
+        pb2 |= extract(ctx.prev2[m]) << m
+    opkeys_l = opkeys.tolist()
+    n_l = sel.n_of.tolist()
+    starts_l = sel.starts.tolist()
+    case_l = case.tolist()
+    sw_l = swappable.tolist()
+    modrange = range(nm)
+    perms_by_n: Dict[int, List[Tuple[int, ...]]] = {}
+    decisions: Dict[int, Tuple[int, int, int]] = {}
+    dec_modules: List[Tuple[int, ...]] = []
+    dec_swaps: List[Tuple[bool, ...]] = []
+    dec_ids = np.empty(len(n_l), dtype=np.int64)
+    for j in range(len(n_l)):
+        n = n_l[j]
+        key = ((((opkeys_l[j] << nm) | pb1) << nm) | pb2) << 6 | n
+        hit = decisions.get(key)
+        if hit is None:
+            start = starts_l[j]
+            modules, chosen, npb1, npb2 = _one_bit_decide(
+                case_l[start:start + n], sw_l[start:start + n],
+                pb1, pb2, nm, modrange, perms_by_n)
+            hit = (len(dec_modules), npb1, npb2)
+            dec_modules.append(modules)
+            dec_swaps.append(chosen)
+            decisions[key] = hit
+        dec_id, pb1, pb2 = hit
+        dec_ids[j] = dec_id
+
+    mtab = np.zeros((len(dec_modules), nm), dtype=np.int64)
+    stab = np.zeros((len(dec_modules), nm), dtype=bool)
+    for d in range(len(dec_modules)):
+        modules = dec_modules[d]
+        mtab[d, :len(modules)] = modules
+        stab[d, :len(modules)] = dec_swaps[d]
+    dec_op = dec_ids[sel.jop]
+    module = mtab[dec_op, sel.rank]
+    chosen = stab[dec_op, sel.rank]
+    ctx.router_swaps = int(chosen.sum())
+    # a pre-swap exchanged the operands before the matcher; a router
+    # swap exchanges them again — the net order is raw when both (or
+    # neither) fired
+    ro1 = op1v[idx]
+    ro2 = op2v[idx]
+    eff = chosen != pre
+    o1 = np.where(eff, ro2, ro1)
+    o2 = np.where(eff, ro1, ro2)
+    _accumulate(ctx, o1, o2, module, case)
+    ctx.flush()
+
+
+# ----- the scalar full-Hamming kernel -----------------------------------------
+
+
+def _select_groups(cols: PackedColumns, num_modules: int,
+                   exclude_spec: bool):
+    """Yield per-group index lists after the evaluator's filter/clamp.
+
+    Inclusive evaluators clamp the raw group to ``num_modules``;
+    deferred (wrong-path-excluding) evaluators filter speculative ops
+    *first*, then clamp — exactly ``_account_ops``'s order.  Groups
+    with nothing left are skipped entirely (``cycles_seen`` untouched).
+    """
+    offsets = cols.offsets
+    flags = cols.flags
+    for g in range(cols.n_groups):
+        start = offsets[g]
+        end = offsets[g + 1]
+        if start == end:
+            continue
+        if exclude_spec:
+            sel = [i for i in range(start, end) if not (flags[i] & F_SPEC)]
+            if not sel:
+                continue
+            if len(sel) > num_modules:
+                del sel[num_modules:]
+            yield sel
+        else:
+            if end - start > num_modules:
+                end = start + num_modules
+            yield range(start, end)
 
 
 def _run_full_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
@@ -446,174 +681,15 @@ def _run_full_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
     ctx.flush()
 
 
-def _one_bit_decide(gc: Sequence[int], gsw: Sequence[bool],
-                    pb1: int, pb2: int, nm: int, modrange,
-                    perms_by_n: Dict[int, List[Tuple[int, ...]]]
-                    ) -> Tuple[Tuple[int, ...], Tuple[bool, ...], int, int]:
-    """One 1-bit-Hamming group decision from the memo-miss path.
+# ----- evaluator dispatch -----------------------------------------------------
 
-    Given the group's (post-pre-swap) cases, per-op swappability, and
-    the packed per-module info-bit state, build the 1-bit cost matrix,
-    match, and recover the router swaps exactly as ``cost_matrix``
-    chose them.  Returns ``(modules, chosen_swaps, next_pb1, next_pb2)``
-    — shared verbatim by the Python and NumPy backends so the memoised
-    decision layer cannot drift between them.
-    """
-    n = len(gc)
-    costs: List[List[int]] = []
-    for k in range(n):
-        case = gc[k]
-        b1 = (case >> 1) & 1
-        b2 = case & 1
-        row = []
-        for m in modrange:
-            p1 = (pb1 >> m) & 1
-            p2 = (pb2 >> m) & 1
-            direct = abs(b1 - p1) + abs(b2 - p2)
-            if gsw[k]:
-                exchanged = abs(b2 - p1) + abs(b1 - p2)
-                if exchanged < direct:
-                    row.append(exchanged)
-                    continue
-            row.append(direct)
-        costs.append(row)
-    modules = _match(costs, n, nm, perms_by_n)
-    chosen_swaps = []
-    next_pb1 = pb1
-    next_pb2 = pb2
-    for k in range(n):
-        module = modules[k]
-        case = gc[k]
-        b1 = (case >> 1) & 1
-        b2 = case & 1
-        swap = False
-        if gsw[k]:
-            # against the group-start state, like the matrix
-            p1 = (pb1 >> module) & 1
-            p2 = (pb2 >> module) & 1
-            # the matrix keeps only the best cost per cell; recover the
-            # swap exactly as cost_matrix chose it
-            swap = (abs(b2 - p1) + abs(b1 - p2)
-                    < abs(b1 - p1) + abs(b2 - p2))
-        chosen_swaps.append(swap)
-        bit = 1 << module
-        new1, new2 = (b2, b1) if swap else (b1, b2)
-        next_pb1 = (next_pb1 & ~bit) | (new1 << module)
-        next_pb2 = (next_pb2 & ~bit) | (new2 << module)
-    return modules, tuple(chosen_swaps), next_pb1, next_pb2
-
-
-def _run_one_bit_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
-    """1-bit Hamming matcher with exact decision memoisation.
-
-    The matcher's entire decision — module choice and router swaps —
-    is a function of each op's (case, swappable) and each module's
-    previous information-bit pair: at most 3 bits per op plus 2 bits
-    per module.  That tiny state space is memoised as packed-int keys,
-    so steady-state groups skip the cost matrix and matching entirely.
-    Accounting remains full-width against the raw latched images,
-    exactly like the object path.
-    """
-    ctx = _EvalContext(ev, cols)
-    policy = ev.policy
-    allow_swap = policy.allow_swap
-    nm = ctx.nm
-    mask = ctx.mask
-    bc = _bit_count
-    prev1, prev2 = ctx.prev1, ctx.prev2
-    track, track_ops = ctx.track, ctx.track_ops
-    op1c, op2c = cols.op1, cols.op2
-    flagsc, casec = cols.flags, cols.case
-    swapping = ctx.swapper is not None
-    swap_case = ctx.swap_case
-    swc = SWAPPED_CASE
-    tel = ctx.telemetry
-    tcounts = ctx.tcounts
-    modrange = range(nm)
-    perms_by_n: Dict[int, List[Tuple[int, ...]]] = {}
-    # (ops' case/swappable codes + module info-bit masks) -> decision
-    decisions: Dict[int, Tuple[Tuple[int, ...], Tuple[bool, ...], int, int]] \
-        = {}
-    extract = policy.scheme.extract
-    pb1 = 0  # bit m = info bit of module m's latched first operand
-    pb2 = 0
-    for m in modrange:
-        pb1 |= extract(prev1[m]) << m
-        pb2 |= extract(prev2[m]) << m
-    total_bits = 0
-    total_ops = 0
-    pre_swaps = 0
-    router_swaps = 0
-    gidx: List[int] = []
-    gc: List[int] = []
-    gpre: List[bool] = []
-    gsw: List[bool] = []
-
-    for sel in _select_groups(cols, nm, not ev.include_speculative):
-        ctx.cycles_seen += 1
-        del gidx[:], gc[:], gpre[:], gsw[:]
-        key = 0
-        for i in sel:
-            case = casec[i]
-            fl = flagsc[i]
-            pre = bool(swapping and (fl & F_HW_SWAP) and case == swap_case)
-            if pre:
-                case = swc[case]
-                pre_swaps += 1
-            swappable = bool(allow_swap and (fl & F_HW_SWAP))
-            gidx.append(i)
-            gc.append(case)
-            gpre.append(pre)
-            gsw.append(swappable)
-            key = (key << 3) | (case << 1) | swappable
-        n = len(gidx)
-        key = ((((key << nm) | pb1) << nm) | pb2) << 6 | n
-        decision = decisions.get(key)
-        if decision is None:
-            decision = _one_bit_decide(gc, gsw, pb1, pb2, nm, modrange,
-                                       perms_by_n)
-            decisions[key] = decision
-        modules, chosen_swaps, pb1, pb2 = decision
-        for k in range(n):
-            module = modules[k]
-            i = gidx[k]
-            # a pre-swap exchanged the operands before the matcher; a
-            # router swap exchanges them again — the net order is raw
-            # when both (or neither) fired
-            if chosen_swaps[k]:
-                router_swaps += 1
-            if chosen_swaps[k] != gpre[k]:
-                o1 = op2c[i]
-                o2 = op1c[i]
-            else:
-                o1 = op1c[i]
-                o2 = op2c[i]
-            cost = (bc((prev1[module] ^ o1) & mask)
-                    + bc((prev2[module] ^ o2) & mask))
-            prev1[module] = o1
-            prev2[module] = o2
-            total_bits += cost
-            if track is not None:
-                track[module] += cost
-                track_ops[module] += 1
-            if tel:
-                tcounts[gc[k]] += 1
-        total_ops += n
-
-    ctx.total_bits = total_bits
-    ctx.total_ops = total_ops
-    ctx.pre_swaps = pre_swaps
-    ctx.router_swaps = router_swaps
-    ctx.flush()
-
-
-#: sentinel from the eligibility gates: the consumer is kernel-eligible
+#: sentinel from the eligibility gate: the consumer is kernel-eligible
 #: but the packed trace holds nothing of its FU class (a no-op run)
 _EMPTY = object()
 
 
 def _evaluator_cols(ev: PolicyEvaluator, packed: PackedTrace):
-    """Shared (Python/NumPy backend) eligibility gate for evaluators.
+    """Eligibility gate for evaluators.
 
     Returns the :class:`PackedColumns` to run over, :data:`_EMPTY` when
     the trace holds nothing of the evaluator's FU class, or ``None``
@@ -649,126 +725,112 @@ def _evaluator_kernel(ev: PolicyEvaluator,
 
     Kernel selection consults the policy registry: the policy's family
     (matched by exact type, so subclasses fall through) names a factory
-    registered for the ``python`` backend, and the factory may still
-    decline (scheme mismatch, unsupported shape) — both roads lead to
-    the object path, never to a wrong kernel.
+    registered under ``"np"``, and the factory may still decline (scheme
+    mismatch, unsupported shape) — both roads lead to the object path,
+    never to a wrong kernel.
     """
     cols = _evaluator_cols(ev, packed)
     if cols is None:
         return None
     if cols is _EMPTY:
         return lambda: None
-    factory = REGISTRY.kernel_factory(ev.policy, "python")
+    factory = REGISTRY.kernel_factory(ev.policy, "np")
     if factory is None:
         return None
     return factory(ev, cols)
 
 
-# ----- python-backend kernel registrations ------------------------------------
+# ----- kernel registrations ---------------------------------------------------
 # Factories take (evaluator, columns) after the shared eligibility gate
 # and return a runner or None to decline; each family's guards live
 # with its factory instead of in a central type chain.
 
 
-def _original_kernel(ev, cols):
-    return lambda: _run_positional(ev, cols, round_robin=False)
+def _np_original_kernel(ev, cols):
+    return lambda: _np_run_positional(ev, cols, round_robin=False)
 
 
-def _round_robin_kernel(ev, cols):
-    return lambda: _run_positional(ev, cols, round_robin=True)
+def _np_round_robin_kernel(ev, cols):
+    return lambda: _np_run_positional(ev, cols, round_robin=True)
 
 
-def _lut_kernel(ev, cols):
+def _np_lut_kernel(ev, cols):
     if ev.policy.scheme is not cols.scheme:
         return None
-    return lambda: _run_lut(ev, cols)
+    return lambda: _np_run_lut(ev, cols)
 
 
 def _full_hamming_kernel(ev, cols):
     return lambda: _run_full_hamming(ev, cols)
 
 
-def _one_bit_hamming_kernel(ev, cols):
-    if ev.policy.scheme is not cols.scheme or not cols.conventional:
+def _np_one_bit_hamming_kernel(ev, cols):
+    if ev.policy.scheme is not cols.scheme or not cols.conventional \
+            or ev.power.num_modules > _ONE_BIT_MAX_MODULES:
         return None
-    return lambda: _run_one_bit_hamming(ev, cols)
+    return lambda: _np_run_one_bit_hamming(ev, cols)
 
 
-for _family, _factory in (("original", _original_kernel),
-                          ("round-robin", _round_robin_kernel),
-                          ("lut", _lut_kernel),
+for _family, _factory in (("original", _np_original_kernel),
+                          ("round-robin", _np_round_robin_kernel),
+                          ("lut", _np_lut_kernel),
                           ("full-ham", _full_hamming_kernel),
-                          ("1bit-ham", _one_bit_hamming_kernel)):
-    REGISTRY.register_kernel(_family, "python", _factory)
+                          ("1bit-ham", _np_one_bit_hamming_kernel)):
+    REGISTRY.register_kernel(_family, "np", _factory)
 del _family, _factory
 
 
 # ----- statistics kernels -----------------------------------------------------
 
 
-def _run_bit_patterns(collector: BitPatternCollector,
-                      cols: PackedColumns) -> None:
-    """Table 1 rows straight from the case/popcount columns."""
-    counts = [0] * 8
-    ones1 = [0] * 8
-    ones2 = [0] * 8
-    flagsc, casec = cols.flags, cols.case
-    pop1c, pop2c = cols.pop1, cols.pop2
-    include_spec = collector.include_speculative
-    total = 0
-    for i in range(cols.n_ops):
-        fl = flagsc[i]
-        if (fl & F_SPEC) and not include_spec:
+def _np_run_bit_patterns(collector: BitPatternCollector,
+                         cols: PackedColumns) -> None:
+    """Table 1 rows as bincounts over the case/popcount columns."""
+    flags = _view(cols, "flags", "B")
+    case = _view(cols, "case", "B")
+    pop1 = _view(cols, "pop1", "B")
+    pop2 = _view(cols, "pop2", "B")
+    if not collector.include_speculative:
+        keep = (flags & F_SPEC) == 0
+        flags, case, pop1, pop2 = (flags[keep], case[keep],
+                                   pop1[keep], pop2[keep])
+    slot = (case.astype(np.int64) << 1) | ((flags >> 4) & 1)  # F_COMMUT
+    counts = np.bincount(slot, minlength=8)
+    for s in range(8):
+        if not counts[s]:
             continue
-        slot = (casec[i] << 1) | ((fl >> 4) & 1)  # F_COMMUT is bit 4
-        counts[slot] += 1
-        ones1[slot] += pop1c[i]
-        ones2[slot] += pop2c[i]
-        total += 1
-    for slot in range(8):
-        if not counts[slot]:
-            continue
-        row = collector.rows[(slot >> 1, bool(slot & 1))]
-        row.count += counts[slot]
-        row.ones_op1 += ones1[slot]
-        row.ones_op2 += ones2[slot]
-    collector.total_ops += total
+        chosen = slot == s
+        row = collector.rows[(s >> 1, bool(s & 1))]
+        row.count += int(counts[s])
+        row.ones_op1 += int(pop1[chosen].sum(dtype=np.int64))
+        row.ones_op2 += int(pop2[chosen].sum(dtype=np.int64))
+    collector.total_ops += int(slot.size)
 
 
-def _bit_patterns_cols(collector: BitPatternCollector, packed: PackedTrace):
-    """Shared backend gate: columns to run over, :data:`_EMPTY`, or
-    ``None`` for the object path (subclass/scheme/mask mismatch)."""
+def _bit_patterns_kernel(collector: BitPatternCollector, packed: PackedTrace
+                         ) -> Optional[Callable[[], None]]:
+    """Table 1 kernel, or ``None`` for the object path (subclass,
+    scheme or mask mismatch)."""
     from ..analysis.bit_patterns import BitPatternCollector
     if type(collector) is not BitPatternCollector:
         return None
     cols = packed.classes.get(collector.fu_class)
     if cols is None:
-        return _EMPTY
+        return lambda: None
     if collector.scheme is not cols.scheme or collector._mask != cols.mask:
         return None
-    return cols
+    return lambda: _np_run_bit_patterns(collector, cols)
 
 
-def _bit_patterns_kernel(collector: BitPatternCollector,
-                         packed: PackedTrace) -> Optional[Callable[[], None]]:
-    cols = _bit_patterns_cols(collector, packed)
-    if cols is None:
-        return None
-    if cols is _EMPTY:
-        return lambda: None
-    return lambda: _run_bit_patterns(collector, cols)
-
-
-def _run_module_usage(collector: ModuleUsageCollector,
-                      cols: PackedColumns) -> None:
-    """Table 2 widths from the offsets column (empty groups excluded)."""
+def _np_run_module_usage(collector: ModuleUsageCollector,
+                         cols: PackedColumns) -> None:
+    """Table 2 widths from one diff over the offsets column."""
+    widths = np.diff(_offsets_view(cols))
+    values, counts = np.unique(widths[widths > 0], return_counts=True)
     per_class = collector.counts.setdefault(cols.fu_class, {})
-    offsets = cols.offsets
     get = per_class.get
-    for g in range(cols.n_groups):
-        width = offsets[g + 1] - offsets[g]
-        if width:
-            per_class[width] = get(width, 0) + 1
+    for width, count in zip(values.tolist(), counts.tolist()):
+        per_class[width] = get(width, 0) + count
 
 
 def _module_usage_kernel(collector: ModuleUsageCollector,
@@ -780,41 +842,12 @@ def _module_usage_kernel(collector: ModuleUsageCollector,
     def run() -> None:
         for fu_class, cols in packed.classes.items():
             if collector._filter is None or fu_class in collector._filter:
-                _run_module_usage(collector, cols)
+                _np_run_module_usage(collector, cols)
 
     return run
 
 
 # ----- the drive loop ---------------------------------------------------------
-
-#: kernel backends: vectorized NumPy array kernels (when importable)
-#: and the pure-Python fused kernels (always present; the oracle)
-BACKENDS = ("np", "python")
-
-
-def numpy_available() -> bool:
-    """Whether the NumPy kernel backend can run in this interpreter."""
-    from . import kernels_np
-    return kernels_np.NUMPY_AVAILABLE
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Map a backend request to a concrete member of :data:`BACKENDS`.
-
-    ``None``/``"auto"`` picks ``"np"`` when NumPy is importable and
-    degrades to ``"python"`` otherwise; an explicit ``"np"`` without
-    NumPy is an error rather than a silent slowdown.
-    """
-    if backend is None or backend == "auto":
-        return "np" if numpy_available() else "python"
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be 'auto' or one of {BACKENDS}")
-    if backend == "np" and not numpy_available():
-        raise RuntimeError(
-            "the 'np' kernel backend was requested but numpy is not "
-            "importable; use backend='auto' to fall back to the Python "
-            "kernels")
-    return backend
 
 
 def _kernel_for(consumer, packed: PackedTrace) -> Optional[Callable[[], None]]:
@@ -830,7 +863,7 @@ def _kernel_for(consumer, packed: PackedTrace) -> Optional[Callable[[], None]]:
 
 
 def batch_drive(packed: PackedTrace, consumers: Sequence,
-                finalize: bool = True, backend: Optional[str] = None):
+                finalize: bool = True):
     """Run consumers over a packed trace: the columnar ``drive``.
 
     Consumers with a fused kernel are evaluated columnar; all others
@@ -839,27 +872,11 @@ def batch_drive(packed: PackedTrace, consumers: Sequence,
     consumer's ``finalize()`` hook is drained afterwards, exactly like
     :func:`repro.streams.drive`.  Returns the packed stream's run
     summary when known.
-
-    ``backend`` picks the kernel implementation (see
-    :func:`resolve_backend`): ``"np"`` routes each consumer through the
-    vectorized kernels in :mod:`repro.batch.kernels_np` where one
-    applies, falling back per-consumer to the fused Python kernels (and
-    from there to the object pass) for configurations the NumPy layer
-    does not cover — so a mixed consumer set always runs, bit-identical
-    whichever backend serves it.
     """
-    resolved = resolve_backend(backend)
-    np_kernel_for = None
-    if resolved == "np":
-        from .kernels_np import kernel_for as np_kernel_for
     consumers = list(consumers)
     fallback = []
     for consumer in consumers:
-        kernel = None
-        if np_kernel_for is not None:
-            kernel = np_kernel_for(consumer, packed)
-        if kernel is None:
-            kernel = _kernel_for(consumer, packed)
+        kernel = _kernel_for(consumer, packed)
         if kernel is None:
             fallback.append(consumer)
         else:

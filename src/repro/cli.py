@@ -54,6 +54,7 @@ from .analysis.report import (render_campaign, render_fault_sweep,
                               render_table2, render_table3)
 from .analysis.sensitivity import run_sensitivity_suite
 from .analysis.value_stats import ValueStatsCollector, render_value_stats
+from .batch import ENGINES
 from .core import build_lut, make_policy, paper_statistics
 from .core.logic import estimate_router_cost, synthesize_lut_logic
 from .core.registry import PolicyNameError, REGISTRY
@@ -337,7 +338,6 @@ def cmd_policies(args) -> int:
     """List registered policy families, parameters, and fused kernels."""
     from .analysis.report import _format_table
     import repro.batch  # noqa: F401  (importing registers batch kernels)
-    from .batch import NUMPY_AVAILABLE
     header = ["family", "syntax", "stats", "swap", "kernels", "grid kinds",
               "description"]
     rows = []
@@ -355,9 +355,6 @@ def cmd_policies(args) -> int:
     print(_format_table(header, rows, "Registered policy families"))
     print(f"default CLI policies: {', '.join(REGISTRY.default_policies())}")
     print(f"figure-4 grid: {', '.join(REGISTRY.grid_kinds())}")
-    if not NUMPY_AVAILABLE:
-        print("numpy not importable: np kernels unavailable in this"
-              " environment")
     return 0
 
 
@@ -658,13 +655,11 @@ def build_parser() -> argparse.ArgumentParser:
                         " after the run (entries this run used are never"
                         " evicted)")
     p.add_argument("--engine",
-                   choices=["auto", "batch-np", "batch", "object"],
-                   default="auto",
-                   help="evaluation engine: columnar kernels vectorized on"
-                        " NumPy (batch-np), the same kernels in pure Python"
-                        " (batch), or the reference object loop (object);"
-                        " auto (default) picks batch-np when NumPy is"
-                        " importable and falls back to batch")
+                   choices=ENGINES, default="batch",
+                   help="evaluation engine: fused columnar kernels over"
+                        " packed streams (batch, the default) or the"
+                        " reference object loop (object); both print"
+                        " identical bytes")
     p.add_argument("--jobs", type=int, default=1,
                    help="fan per-workload evaluation across N worker"
                         " processes (output is byte-stable for any N)")

@@ -31,13 +31,12 @@ decision diagram over the case-vector statistics* instead:
    estimate compared against the two-level Quine–McCluskey layer
    (:func:`repro.core.logic.estimate_router_cost`) in EXPERIMENTS.md.
 
-The family is registered here — and only here.  ``make_policy``, both
-batch backends, figure-4 grids, campaign validation, and the CLI pick
-it up through :data:`repro.core.registry.REGISTRY` without any dispatch
-edits: the fused python kernel below reuses the LUT kernel (the table
-contract is shared through ``LUTPolicy._assign_cases``), and no NumPy
-kernel is registered, so ``--engine batch-np`` exercises the registry's
-clean fall-through to the python kernel.
+The family is registered here — and only here.  ``make_policy``, the
+batch engine, figure-4 grids, campaign validation, and the CLI pick it
+up through :data:`repro.core.registry.REGISTRY` without any dispatch
+edits: the fused kernel below is the numpy LUT kernel itself (the table
+contract is shared through ``LUTPolicy._assign_cases``), so BDD tables
+run on the same columnar path as greedy ones.
 """
 
 from __future__ import annotations
@@ -400,18 +399,14 @@ REGISTRY.register(PolicyFamily(
     grid_kinds=("bdd-4",), grid_order=40.0))
 
 
-def _bdd_python_kernel(ev, cols):
-    """Fused python kernel: the table contract is shared with the LUT
-    family through ``LUTPolicy._assign_cases``, so the LUT kernel runs
-    BDD tables unchanged.  Imported lazily — core must not import batch
-    at module load (batch imports core)."""
-    if ev.policy.scheme is not cols.scheme:
-        return None
-    from ..batch.kernels import _run_lut
-    return lambda: _run_lut(ev, cols)
+def _bdd_kernel(ev, cols):
+    """The table contract is shared with the LUT family through
+    ``LUTPolicy._assign_cases``, so the LUT kernel runs BDD tables
+    unchanged (and its scheme guard declines to the object path).
+    Imported lazily — core must not import batch at module load (batch
+    imports core)."""
+    from ..batch.kernels import _np_lut_kernel
+    return _np_lut_kernel(ev, cols)
 
 
-# python backend only: `--engine batch-np` falls through to this fused
-# kernel, and any config the guard declines falls through to the object
-# path — both legs of the registry's fall-through contract.
-REGISTRY.register_kernel("bdd", "python", _bdd_python_kernel)
+REGISTRY.register_kernel("bdd", "np", _bdd_kernel)

@@ -8,10 +8,10 @@ hand-maintained dispatch site consults the registry instead:
 
 * :func:`repro.core.steering.make_policy` resolves kind strings
   (``lut-4``, ``bdd-8``, ``original``) through :meth:`PolicyRegistry.build`;
-* the batch engines resolve fused kernels per backend through
+* the batch engine resolves fused kernels through
   :meth:`PolicyRegistry.kernel_factory` instead of ``type(policy)``
-  chains (a family with no kernel for a backend cleanly falls through
-  to the next backend and finally the object path);
+  chains (a family with no kernel cleanly falls through to the object
+  path);
 * figure-4 grids, CLI policy choices/defaults, campaign-spec
   validation, and report labels all derive from the family metadata.
 
@@ -221,7 +221,7 @@ class PolicyRegistry:
     def kernel_factory(self, policy: Any, backend: str
                        ) -> Optional[Callable]:
         """The fused-kernel factory for this policy on one backend, or
-        ``None`` → fall through (next backend, then the object path)."""
+        ``None`` → fall through to the object path."""
         family = self._by_type.get(type(policy))
         if family is None:
             return None

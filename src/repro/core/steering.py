@@ -564,7 +564,7 @@ def make_policy(kind: str, fu_class: FUClass, num_modules: int,
 # the registry, so these builders must reproduce the pre-registry
 # factory byte for byte (tests/core/test_registry.py holds them to a
 # hand-written reference).  Fused batch kernels are attached by
-# repro.batch.kernels / kernels_np at their import.
+# repro.batch.kernels at its import.
 
 
 def _build_original(req: PolicyRequest) -> SteeringPolicy:

@@ -259,16 +259,19 @@ def execute_task(task: TaskSpec) -> Dict[str, Any]:
                 # warm hit with no fault injection: score every
                 # evaluator through the fused columnar kernels straight
                 # off the packed sidecar (bit-identical to the shared
-                # object pass; tests/batch/test_parity.py).  Any pack
-                # problem degrades to the reference path.
-                from ..batch import batch_drive, packed_cached
+                # object pass; tests/batch/test_parity.py).  Only a pack
+                # or load failure degrades to the reference path, and
+                # only before any evaluator has been touched: a kernel
+                # error fails the task instead of being double counted
+                from ..batch import PackFormatError, batch_drive, packed_cached
                 try:
                     packed, _ = packed_cached(program, config,
                                               task.trace_cache_dir,
                                               (fu_class,))
-                    batch_drive(packed, coordinator.evaluators)
-                except Exception:
+                except (PackFormatError, OSError):
                     streams.drive(source, [coordinator])
+                else:
+                    batch_drive(packed, coordinator.evaluators)
             sim_result = source.result
             session.add_collector(sim_result.telemetry_counters)
         else:

@@ -34,7 +34,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..analysis.energy import (Figure4Result, run_figure4,
                                run_figure4_synthetic)
 from ..analysis.report import render_figure4
-from ..batch import resolve_engine
 from ..runner.pool import PoolItem, ProcessTaskPool
 from ..streams import cached_or_record
 from ..workloads import workload
@@ -104,7 +103,6 @@ def evaluate_request(payload: Dict[str, Any]) -> Dict[str, Any]:
         # so drain/timeout behaviour can be exercised deterministically
         time.sleep(request.delay_ms / 1000.0)
     started = time.perf_counter()
-    engine = resolve_engine(request.engine)
     if request.synthetic:
         panel = run_figure4_synthetic(
             request.fu_class, cycles=request.cycles,
@@ -128,7 +126,7 @@ def evaluate_request(payload: Dict[str, Any]) -> Dict[str, Any]:
             scale=request.scale, config=config,
             stats_source=request.stats, schemes=request.policies,
             swap_modes=request.swap_modes, trace_cache_dir=cache_dir,
-            engine=engine)
+            engine=request.engine)
     result = _render_result(request, key or "", panel)
     result["meta"]["compute_seconds"] = round(
         time.perf_counter() - started, 6)

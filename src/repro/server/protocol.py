@@ -201,9 +201,9 @@ def parse_request(payload: Any) -> EvalRequest:
     _require(stats in ("measured", "paper"),
              "'stats' must be 'measured' or 'paper'")
 
-    engine = payload.get("engine", "auto")
-    _require(engine == "auto" or engine in ENGINES,
-             f"'engine' must be 'auto' or one of {', '.join(ENGINES)}")
+    engine = payload.get("engine", "batch")
+    _require(engine in ENGINES,
+             f"'engine' must be one of {', '.join(ENGINES)}")
 
     delay_ms = payload.get("delay_ms", 0)
     _require(isinstance(delay_ms, int) and not isinstance(delay_ms, bool)

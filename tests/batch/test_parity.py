@@ -2,18 +2,17 @@
 
 The object path (:func:`repro.streams.drive` over reconstructed
 ``IssueGroup`` objects) is the reference oracle; the fused columnar
-kernels — in *both* kernel backends, pure-Python and NumPy — must
-accumulate *exactly* the same ``EvaluationTotals`` and telemetry
-counters for every steering scheme, both hardware-swap regimes, and
-both speculative settings, on random programs.  The NumPy leg is
-skipped transparently when numpy is absent.
+kernels must accumulate *exactly* the same ``EvaluationTotals`` and
+telemetry counters for every steering scheme, both hardware-swap
+regimes, and both speculative settings, on random programs.
 """
 
 import pytest
 from hypothesis import given, settings
 
-from repro.batch import NUMPY_AVAILABLE, batch_drive, pack_stream
+from repro.batch import ENGINES, batch_drive, pack_stream
 from repro.core.info_bits import scheme_for
+from repro.core.registry import REGISTRY
 from repro.core.statistics import paper_statistics
 from repro.core.steering import PolicyEvaluator, make_policy
 from repro.core.swapping import HardwareSwapper, choose_swap_case
@@ -29,10 +28,6 @@ from tests.cpu.test_simulator import loopy_programs
 SCHEME_KINDS = ("original", "round-robin", "full-ham", "1bit-ham",
                 "lut-4", "lut-2", "bdd-4")
 NUM_MODULES = 4
-
-# every kernel backend available in this interpreter; the object path
-# is always the oracle they are compared against
-KERNEL_BACKENDS = ("python", "np") if NUMPY_AVAILABLE else ("python",)
 
 
 def _evaluator_set(telemetry=None, fu_class=FUClass.IALU,
@@ -76,11 +71,9 @@ def _assert_identical(reference, batch):
 def _run_both(memory, fu_class=FUClass.IALU, num_modules=NUM_MODULES):
     reference = _evaluator_set(fu_class=fu_class, num_modules=num_modules)
     drive(memory, list(reference.values()))
-    packed = pack_stream(memory.groups())
-    for backend in KERNEL_BACKENDS:
-        batch = _evaluator_set(fu_class=fu_class, num_modules=num_modules)
-        batch_drive(packed, list(batch.values()), backend=backend)
-        _assert_identical(reference, batch)
+    batch = _evaluator_set(fu_class=fu_class, num_modules=num_modules)
+    batch_drive(pack_stream(memory.groups()), list(batch.values()))
+    _assert_identical(reference, batch)
 
 
 class TestEngineParity:
@@ -104,8 +97,7 @@ class TestEngineParity:
         memory = capture(LiveSource(workload("swim").build(1)))
         _run_both(memory, fu_class=FUClass.FPAU)
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_round_robin_state_carries_across_streams(self, backend):
+    def test_round_robin_state_carries_across_streams(self):
         # the rotation pointer must advance identically when one policy
         # instance sees two streams back to back
         first = capture(LiveSource(workload("compress").build(1)))
@@ -122,14 +114,12 @@ class TestEngineParity:
 
         ref = one_path(lambda mem, ev: drive(mem, [ev]))
         batch = one_path(
-            lambda mem, ev: batch_drive(pack_stream(mem.groups()), [ev],
-                                        backend=backend))
+            lambda mem, ev: batch_drive(pack_stream(mem.groups()), [ev]))
         assert batch == ref
 
 
 class TestTelemetryParity:
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_counters_match_object_session(self, backend):
+    def test_counters_match_object_session(self):
         memory = capture(LiveSource(workload("compress").build(1)))
 
         ref_session = TelemetrySession(TelemetryConfig(metrics=True))
@@ -138,8 +128,7 @@ class TestTelemetryParity:
 
         batch_session = TelemetrySession(TelemetryConfig(metrics=True))
         batch = _evaluator_set(telemetry=batch_session)
-        batch_drive(pack_stream(memory.groups()), list(batch.values()),
-                    backend=backend)
+        batch_drive(pack_stream(memory.groups()), list(batch.values()))
 
         _assert_identical(reference, batch)
         ref_counters = ref_session.collect_counters()
@@ -150,8 +139,7 @@ class TestTelemetryParity:
 
 
 class TestCollectorParity:
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_statistics_collectors_match(self, backend):
+    def test_statistics_collectors_match(self):
         memory = capture(LiveSource(workload("compress").build(1)))
         packed = pack_stream(memory.groups())
         for include_spec in (True, False):
@@ -163,8 +151,7 @@ class TestCollectorParity:
             batch_patterns = BitPatternCollector(
                 FUClass.IALU, include_speculative=include_spec)
             batch_usage = ModuleUsageCollector()
-            batch_drive(packed, [batch_patterns, batch_usage],
-                        backend=backend)
+            batch_drive(packed, [batch_patterns, batch_usage])
 
             assert batch_patterns.total_ops == ref_patterns.total_ops
             for key, row in ref_patterns.rows.items():
@@ -173,36 +160,23 @@ class TestCollectorParity:
                     (row.count, row.ones_op1, row.ones_op2), key
             assert batch_usage.counts == ref_usage.counts
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_filtered_usage_collector_matches(self, backend):
+    def test_filtered_usage_collector_matches(self):
         memory = capture(LiveSource(workload("compress").build(1)))
         ref = ModuleUsageCollector([FUClass.IALU])
         drive(memory, [ref])
         batch = ModuleUsageCollector([FUClass.IALU])
-        batch_drive(pack_stream(memory.groups()), [batch], backend=backend)
+        batch_drive(pack_stream(memory.groups()), [batch])
         assert batch.counts == ref.counts
 
 
 class TestBackendDispatch:
-    def test_resolve_backend(self):
-        from repro.batch import resolve_backend
-        expected = "np" if NUMPY_AVAILABLE else "python"
-        assert resolve_backend(None) == expected
-        assert resolve_backend("auto") == expected
-        assert resolve_backend("python") == "python"
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
+    def test_two_engines(self):
+        from repro.analysis.energy import run_figure4
+        assert ENGINES == ("batch", "object")
+        for retired in ("auto", "batch-np", "warp"):
+            with pytest.raises(ValueError, match="engine"):
+                run_figure4(FUClass.IALU, workloads=[], engine=retired)
 
-    def test_resolve_engine(self):
-        from repro.batch import resolve_engine
-        assert resolve_engine("auto") == (
-            "batch-np" if NUMPY_AVAILABLE else "batch")
-        assert resolve_engine("object") == "object"
-        assert resolve_engine("batch") == "batch"
-        with pytest.raises(ValueError):
-            resolve_engine("warp")
-
-    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="requires numpy")
     def test_run_figure4_engines_identical(self, tmp_path):
         from repro.analysis.energy import run_figure4
         from repro.workloads import workload as load
@@ -213,43 +187,45 @@ class TestBackendDispatch:
                     for key, cell in result.cells.items()}
 
         results = {}
-        for engine in ("object", "batch", "batch-np"):
+        for engine in ENGINES:
             results[engine] = run_figure4(
                 FUClass.IALU, workloads=[load("compress")],
                 schemes=("original", "lut-4"), swap_modes=("none", "hw"),
                 trace_cache_dir=tmp_path, engine=engine)
         reference = results["object"]
-        for engine in ("batch", "batch-np"):
-            assert cells(results[engine]) == cells(reference), engine
-            assert repr(results[engine].statistics) == \
-                repr(reference.statistics), engine
+        assert cells(results["batch"]) == cells(reference)
+        assert repr(results["batch"].statistics) == \
+            repr(reference.statistics)
 
 
 class TestBDDFallThrough:
-    """The bdd family registers a fused python kernel only: the np
-    backend must fall through to it via the registry (not crash, not
-    silently diverge), and a scheme mismatch must fall through to the
-    object path."""
+    """The bdd family runs the numpy LUT kernel (BDD tables share the
+    LUT table contract), and a scheme mismatch still falls through to
+    the object path."""
 
     def _bdd_evaluator(self, stats):
         policy = make_policy("bdd-4", FUClass.IALU, NUM_MODULES, stats=stats)
         return PolicyEvaluator(FUClass.IALU, NUM_MODULES, policy)
 
-    def test_no_np_kernel_registered(self):
-        from repro.core.registry import REGISTRY
+    def test_bdd_runs_the_np_lut_kernel(self, monkeypatch):
+        from repro.batch import kernels
+        memory = capture(LiveSource(workload("compress").build(1)))
         stats = paper_statistics(FUClass.IALU)
-        policy = make_policy("bdd-4", FUClass.IALU, NUM_MODULES, stats=stats)
-        assert REGISTRY.kernel_factory(policy, "np") is None
-        assert REGISTRY.kernel_factory(policy, "python") is not None
+        ran = []
+        real = kernels._np_run_lut
+        monkeypatch.setattr(kernels, "_np_run_lut",
+                            lambda ev, cols: ran.append(ev) or real(ev, cols))
+        batch = self._bdd_evaluator(stats)
+        batch_drive(pack_stream(memory.groups()), [batch])
+        assert ran == [batch]
 
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_engines_identical_for_bdd(self, backend):
+    def test_engines_identical_for_bdd(self):
         memory = capture(LiveSource(workload("compress").build(1)))
         stats = paper_statistics(FUClass.IALU)
         reference = self._bdd_evaluator(stats)
         drive(memory, [reference])
         batch = self._bdd_evaluator(stats)
-        batch_drive(pack_stream(memory.groups()), [batch], backend=backend)
+        batch_drive(pack_stream(memory.groups()), [batch])
         assert batch.totals() == reference.totals()
 
     def test_scheme_mismatch_falls_through_to_object_path(self):
@@ -265,14 +241,31 @@ class TestBDDFallThrough:
 
         reference = build()
         drive(memory, [reference])
-        for backend in KERNEL_BACKENDS:
-            batch = build()
-            batch_drive(pack_stream(memory.groups()), [batch],
-                        backend=backend)
-            assert batch.totals() == reference.totals(), backend
+        batch = build()
+        batch_drive(pack_stream(memory.groups()), [batch])
+        assert batch.totals() == reference.totals()
 
 
 class TestFallbackPath:
+    def test_wide_one_bit_hamming_runs_the_object_path(self):
+        # the array kernel's packed opkey fits 16 modules; wider
+        # machines decline to the object pass and must still agree
+        memory = capture(LiveSource(workload("compress").build(1)))
+        stats = paper_statistics(FUClass.IALU)
+
+        def build():
+            policy = make_policy("1bit-ham", FUClass.IALU, 17, stats=stats)
+            return PolicyEvaluator(FUClass.IALU, 17, policy)
+
+        reference = build()
+        drive(memory, [reference])
+        packed = pack_stream(memory.groups())
+        batch = build()
+        assert REGISTRY.kernel_factory(batch.policy, "np")(
+            batch, packed.classes[FUClass.IALU]) is None
+        batch_drive(packed, [batch])
+        assert batch.totals() == reference.totals()
+
     def test_unknown_consumer_sees_object_stream(self):
         memory = capture(LiveSource(workload("compress").build(1)))
         seen = []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import NUMPY_AVAILABLE, POPCOUNT16
+from repro.batch import POPCOUNT16
 from repro.batch.kernels import _bit_count, _table_bit_count
 
 
@@ -47,7 +47,6 @@ class TestPopcountTable:
         assert _bit_count(value) == oracle(value)
 
 
-@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="requires numpy")
 class TestPopcount64Vector:
     def test_boundaries(self):
         import numpy as np

@@ -154,7 +154,7 @@ class TestRegistration:
     def test_kernel_for_unknown_family_rejected(self):
         registry = PolicyRegistry()
         with pytest.raises(ValueError, match="unknown policy family"):
-            registry.register_kernel("ghost", "python", lambda ev, cols: None)
+            registry.register_kernel("ghost", "np", lambda ev, cols: None)
 
 
 class TestExactTypeKernelResolution:
@@ -175,15 +175,14 @@ class TestExactTypeKernelResolution:
         lut = build_lut(ialu_stats, 4, 4)
         policy = LocalLUT(lut=lut, scheme=scheme_for(FUClass.IALU))
         assert REGISTRY.family_of(policy) is None
-        assert REGISTRY.kernel_factory(policy, "python") is None
+        assert REGISTRY.kernel_factory(policy, "np") is None
 
     def test_kernel_backend_coverage(self):
-        assert REGISTRY.kernel_backends("lut") == ("np", "python")
-        assert REGISTRY.kernel_backends("original") == ("np", "python")
-        # the Hamming matcher's np kernel is deliberately absent, as is
-        # any fused bdd kernel on np: both exercise fall-through
-        assert REGISTRY.kernel_backends("full-ham") == ("python",)
-        assert REGISTRY.kernel_backends("bdd") == ("python",)
+        # every built-in family runs on the one columnar engine; the
+        # unregistered-subclass test above keeps fall-through covered
+        for family in ("original", "round-robin", "lut", "full-ham",
+                       "1bit-ham", "bdd"):
+            assert REGISTRY.kernel_backends(family) == ("np",), family
 
 
 class TestMetadata:

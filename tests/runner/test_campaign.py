@@ -6,6 +6,7 @@ workers that crash, hang, or get killed mid-campaign must each leave a
 resumable manifest and never take the campaign down with them.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.report import render_campaign
+from repro.core.registry import REGISTRY
 from repro.runner.campaign import (CRASH_ENV, DELAY_ENV, HANG_ENV,
                                    CampaignError, CampaignRunner,
                                    CampaignSpec, execute_task, run_campaign)
@@ -103,6 +105,25 @@ class TestExecuteTask:
     def test_cache_off_without_directory(self):
         result = execute_task(small_spec().tasks()[0])
         assert result["trace_cache"] == "off"
+
+    def test_kernel_error_on_warm_hit_fails_the_task(self, tmp_path,
+                                                     monkeypatch):
+        # `original` runs (and flushes its totals) before `lut-4`'s
+        # kernel raises; re-driving the object path would count the
+        # baseline twice, so the error must fail the task instead
+        task = dataclasses.replace(small_spec(workloads=("compress",))
+                                   .tasks()[0],
+                                   trace_cache_dir=str(tmp_path))
+        assert execute_task(task)["trace_cache"] == "miss"
+
+        def broken(ev, cols):
+            def run():
+                raise RuntimeError("kernel bug")
+            return run
+
+        monkeypatch.setitem(REGISTRY._kernels, ("lut", "np"), broken)
+        with pytest.raises(RuntimeError, match="kernel bug"):
+            execute_task(task)
 
 
 class TestCampaignTraceCache:

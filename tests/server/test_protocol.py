@@ -47,6 +47,7 @@ def test_baseline_policy_always_present():
     ({"cycles": 0}, "'cycles'"),
     ({"stats": "vibes"}, "'stats'"),
     ({"engine": "turbo"}, "'engine'"),
+    ({"engine": "auto"}, "'engine' must be one of batch, object"),
     ({"delay_ms": -5}, "'delay_ms'"),
     ({"config": {"telemetry": 1}}, "unknown config override"),
     ({"config": {"rob_entries": "many"}}, "must be an int"),

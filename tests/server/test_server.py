@@ -84,6 +84,9 @@ def test_bad_requests():
         bad_field = await post(client, {"policies": ["nope"]})
         assert bad_field.status == 400
         assert b"unknown policy kind" in bad_field.body
+        retired_engine = await post(client, dict(SYNTH, engine="auto"))
+        assert retired_engine.status == 400
+        assert b"batch, object" in retired_engine.body
         not_found = await client.request("GET", "/nope")
         assert not_found.status == 404
         wrong_method = await client.request("GET", "/v1/evaluate")

@@ -74,6 +74,25 @@ class TestCli:
         assert "default CLI policies" in output
         assert "figure-4 grid" in output
 
+    def test_policies_lists_np_kernel_for_every_family(self, capsys):
+        code, output = run_cli(capsys, "policies")
+        assert code == 0
+        families = ("original", "round-robin", "full-ham", "1bit-ham",
+                    "lut", "bdd")
+        kernels = {}
+        for line in output.splitlines():
+            cells = line.split()
+            if cells and cells[0] in families:
+                kernels[cells[0]] = cells[4]  # the "kernels" column
+        assert kernels == dict.fromkeys(families, "np")
+
+    def test_retired_engines_rejected_at_parse_time(self, capsys):
+        for engine in ("batch-np", "auto"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["figure4", "ialu", "--engine", engine])
+            assert excinfo.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+
     def test_figure4_policies_override(self, capsys):
         code, output = run_cli(capsys, "figure4", "ialu", "--synthetic",
                                "--cycles", "2000",
