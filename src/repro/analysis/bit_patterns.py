@@ -106,6 +106,14 @@ class BitPatternCollector:
             mine.ones_op2 += row.ones_op2
         self.total_ops += other.total_ops
 
+    def __getstate__(self) -> dict:
+        # a parallel figure-4 statistics partial crosses a process
+        # boundary to be merged: its scheme holds lambdas, which do not
+        # pickle, and merging counts never consults it
+        state = dict(self.__dict__)
+        state["scheme"] = None
+        return state
+
     def to_case_frequencies(self) -> Dict[RowKey, float]:
         if not self.total_ops:
             return {key: 0.0 for key in self.rows}

@@ -11,26 +11,39 @@ three swapping regimes against the same workload suite:
   profile-guided static swap pass, then evaluated (optionally with the
   hardware swapper on top).
 
+:func:`run_figure4` is one driver for every job count.  It builds a
+*plan* (config, workloads, scheme, one payload per workload), runs a
+*statistics task* per workload (Table 1/2 collector partials, folded in
+workload order with the collectors' ``merge()``), then a *cells task*
+per workload (the plain version and its compiler rewrite through every
+evaluator set, returning integer cells and the trace-cache keys it
+read), and ends in one ordered merge that fills the panel, its
+provenance counters and the prune-protect list.  ``jobs=1`` runs the
+tasks in process; ``jobs > 1`` runs the same tasks on a process pool
+(:mod:`repro.analysis.parallel`).
+
 Each *program version* (a workload, or its compiler-swapped rewrite) is
 simulated exactly once: the issue stream is captured through
 :mod:`repro.streams` and then *replayed* — for the statistics pass and
 for every (scheme, swap) evaluator cell — because evaluation is far
 cheaper than simulation and a captured stream is bit-identical to live
 listening.  With ``trace_cache_dir`` set, captures are persisted under
-content-addressed keys (program + machine-config fingerprints) so later
-runs skip simulation entirely.  Reductions are reported against the
-paper's baseline: ``original`` steering, no swapping, unmodified
-programs.
+content-addressed keys (program + machine-config fingerprints) and
+recorded under ``TraceCacheLock``, so later runs skip simulation
+entirely and concurrent runs sharing the cache simulate each version
+once between them.  Reductions are reported against the paper's
+baseline: ``original`` steering, no swapping, unmodified programs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..batch import ENGINES, drive_stream, packed_cached
-from ..compiler import swap_optimize
+from ..compiler import denser_first_from_swap_case, swap_optimize
 from ..cpu.config import MachineConfig, default_config
 from ..core.info_bits import InfoBitScheme, scheme_for
 from ..core.registry import REGISTRY
@@ -39,9 +52,9 @@ from ..core.steering import PolicyEvaluator, make_policy
 from ..core.swapping import HardwareSwapper, choose_swap_case
 from ..isa.instructions import FUClass
 from ..isa.program import Program
-from ..streams import (IssueSource, LiveSource, MemorySource, SyntheticSource,
-                       cached_source, capture, drive, prune_trace_cache,
-                       record_cached, trace_cache_key)
+from ..streams import (IssueSource, LiveSource, PathLike, SyntheticSource,
+                       cached_or_record, capture, prune_trace_cache,
+                       trace_cache_key)
 from ..workloads.base import Workload, float_suite, integer_suite
 from .bit_patterns import BitPatternCollector
 from .module_usage import ModuleUsageCollector
@@ -86,6 +99,17 @@ class Figure4Result:
     @property
     def baseline_bits(self) -> int:
         return self.cells[("original", "none")].switched_bits
+
+    def add(self, workload: str, cells: Dict[CellKey, CellResult]) -> None:
+        """Fold one workload's cells into the panel totals and into its
+        per-workload breakdown."""
+        breakdown = self.per_workload.setdefault(workload, {})
+        for key, cell in cells.items():
+            total = self.cells.setdefault(key, CellResult(*key))
+            total.switched_bits += cell.switched_bits
+            total.operations += cell.operations
+            total.hardware_swaps += cell.hardware_swaps
+            breakdown[key] = breakdown.get(key, 0) + cell.switched_bits
 
     def workload_reduction(self, name: str, scheme: str,
                            swap: str = "none") -> float:
@@ -151,15 +175,17 @@ def statistics_from_sources(sources: Sequence[IssueSource],
         # object streams through the classic loop — same totals either
         # way (tests/batch/test_parity.py)
         drive_stream(source, [patterns, usage])
+    return _case_statistics(patterns, usage, config), patterns, usage
+
+
+def _case_statistics(patterns: BitPatternCollector,
+                     usage: ModuleUsageCollector,
+                     config: MachineConfig) -> CaseStatistics:
+    """Bundle (possibly merged) Table 1/2 collectors into statistics."""
+    fu_class = patterns.fu_class
     distribution = usage.distribution(fu_class,
                                       max_width=config.modules(fu_class))
-    stats = patterns.to_statistics(distribution)
-    return stats, patterns, usage
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, not {engine!r}")
+    return patterns.to_statistics(distribution)
 
 
 def _captured_stream(program: Program, config: MachineConfig,
@@ -168,9 +194,12 @@ def _captured_stream(program: Program, config: MachineConfig,
     """One issue stream per program version, simulated at most once.
 
     Without a cache directory this is a plain in-memory capture (one
-    simulation).  With one, a recorded trace under the content-addressed
-    key is replayed instead, and a miss both simulates and populates the
-    cache.  Returns ``(stream, cache_hit)``.
+    simulation).  With one, the stream comes through
+    :func:`repro.streams.cached_or_record`: a recorded trace under the
+    content-addressed key is replayed, and a miss simulates and
+    populates the cache under ``TraceCacheLock``, so across processes
+    sharing the directory one records and the rest replay.  Returns
+    ``(stream, cache_hit)``.
 
     With the ``"batch"`` engine the stream comes back as a
     :class:`~repro.batch.columns.PackedTrace` (mmapped from the cache
@@ -180,16 +209,13 @@ def _captured_stream(program: Program, config: MachineConfig,
     fu_classes = (fu_class,)
     if engine == "batch":
         return packed_cached(program, config, cache_dir, fu_classes)
-    if cache_dir is not None:
-        found = cached_source(program, config, cache_dir, fu_classes)
-        if found is not None:
-            # the replay is re-drivable and streams from disk, so each
-            # pass holds one group at a time — never the whole decoded
-            # stream (compiler-swapped versions need only one pass, and
-            # peak RSS stays flat however long the trace is)
-            return found, True
-        return record_cached(program, config, cache_dir, fu_classes), False
-    return capture(LiveSource(program, config), fu_classes), False
+    if cache_dir is None:
+        return capture(LiveSource(program, config), fu_classes), False
+    # a hit is a replay that streams from disk, so each pass holds one
+    # group at a time — never the whole decoded stream (peak RSS stays
+    # flat however long the trace is)
+    stream, state = cached_or_record(program, config, cache_dir, fu_classes)
+    return stream, state == "hit"
 
 
 def _build_evaluators(fu_class: FUClass, num_modules: int,
@@ -217,6 +243,194 @@ def _build_evaluators(fu_class: FUClass, num_modules: int,
     return evaluators
 
 
+def _evaluate_modes(stream: IssueSource, fu_class: FUClass,
+                    num_modules: int, stats: CaseStatistics,
+                    scheme: InfoBitScheme, schemes: Sequence[str],
+                    modes: Sequence[str]) -> Dict[CellKey, CellResult]:
+    """Replay one stream through an evaluator set per swap mode in
+    ``modes``, all in one pass — no simulation happens here."""
+    per_mode = {mode: _build_evaluators(fu_class, num_modules, stats, scheme,
+                                        schemes,
+                                        with_hw_swap=mode in ("hw",
+                                                              "hw+compiler"))
+                for mode in modes}
+    drive_stream(stream, [evaluator for evaluators in per_mode.values()
+                          for evaluator in evaluators.values()])
+    cells: Dict[CellKey, CellResult] = {}
+    for mode, evaluators in per_mode.items():
+        for kind, evaluator in evaluators.items():
+            totals = evaluator.totals()
+            cells[(kind, mode)] = CellResult(kind, mode, totals.switched_bits,
+                                             totals.operations,
+                                             totals.hardware_swaps)
+    return cells
+
+
+# ----- the one figure-4 driver: plan, per-workload tasks, ordered merge -------
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One panel's inputs, shared by every per-workload task.
+
+    Pool tasks receive it in their payload.  ``scheme`` stays ``None``
+    for the FU class's paper scheme: schemes hold lambdas and are
+    identity-compared singletons, so each process resolves its own.
+    """
+
+    fu_class: FUClass
+    workloads: Tuple[Workload, ...]
+    scale: Optional[int]
+    config: MachineConfig
+    stats_source: str
+    schemes: Tuple[str, ...]
+    swap_modes: Tuple[str, ...]
+    scheme: Optional[InfoBitScheme]
+    engine: str
+    cache_dir: Optional[PathLike]
+    stats: Optional[CaseStatistics] = None  # fixed before the cells tasks
+
+    def payloads(self) -> List[Tuple["_Plan", Workload]]:
+        """One task payload per workload, in workload order."""
+        return [(self, load) for load in self.workloads]
+
+
+#: ``run(task, payloads)`` returns ``task``'s outcomes in payload order
+TaskRunner = Callable[[Callable[..., Dict[str, Any]], List[Any]],
+                      List[Dict[str, Any]]]
+
+#: streams a run already holds, by trace-cache key: (stream, cache_hit)
+HeldStreams = Dict[str, Tuple[IssueSource, bool]]
+
+
+def _plan(fu_class: FUClass, workloads: Optional[Iterable[Workload]],
+          scale: Optional[int], config: Optional[MachineConfig],
+          stats_source: str, schemes: Sequence[str],
+          swap_modes: Sequence[str], scheme: Optional[InfoBitScheme],
+          engine: str, cache_dir: Optional[PathLike]) -> _Plan:
+    """Check the arguments and fill in the defaults."""
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, not {engine!r}")
+    if stats_source not in ("measured", "paper"):
+        raise ValueError("stats_source must be 'measured' or 'paper'")
+    if workloads is None:
+        workloads = (integer_suite() if fu_class is FUClass.IALU
+                     else float_suite())
+    return _Plan(fu_class=fu_class, workloads=tuple(workloads), scale=scale,
+                 config=config or default_config(),
+                 stats_source=stats_source, schemes=tuple(schemes),
+                 swap_modes=tuple(swap_modes), scheme=scheme, engine=engine,
+                 cache_dir=cache_dir)
+
+
+def _fetch(plan: _Plan, program: Program, held: Optional[HeldStreams]
+           ) -> Tuple[IssueSource, bool, str]:
+    """A program version's ``(stream, cache_hit, key)``: the stream this
+    run already holds under its key, else a fresh fetch."""
+    key = trace_cache_key(program, plan.config, (plan.fu_class,))
+    if held is not None and key in held:
+        return (*held.pop(key), key)
+    stream, hit = _captured_stream(program, plan.config, plan.fu_class,
+                                   plan.cache_dir, plan.engine)
+    return stream, hit, key
+
+
+def _stats_task(payload: Tuple[_Plan, Workload],
+                held: Optional[HeldStreams] = None) -> Dict[str, Any]:
+    """One workload's Table 1/2 collector partials.
+
+    In process (``held`` given), the stream is left in ``held`` for the
+    workload's cells task, so it is fetched once per run.
+    """
+    plan, load = payload
+    stream, hit, key = _fetch(plan, load.build(plan.scale), held)
+    if held is not None:
+        held[key] = (stream, hit)
+    _, patterns, usage = statistics_from_sources(
+        [stream], plan.fu_class, plan.config, plan.scheme)
+    return {"patterns": patterns, "usage": usage, "streams": [(key, hit)]}
+
+
+def _cells_task(payload: Tuple[_Plan, Workload],
+                held: Optional[HeldStreams] = None) -> Dict[str, Any]:
+    """One workload through the (scheme × swap) grid: its plain version
+    for ``none``/``hw``, its compiler rewrite for the compiler regimes."""
+    plan, load = payload
+    fu_class, stats = plan.fu_class, plan.stats
+    scheme = plan.scheme or scheme_for(fu_class)
+    num_modules = plan.config.modules(fu_class)
+    program = load.build(plan.scale)
+    stream, hit, key = _fetch(plan, program, held)
+    streams = [(key, hit)]
+    plain_modes = [m for m in ("none", "hw") if m in plan.swap_modes]
+    if "none" not in plain_modes:
+        plain_modes.append("none")  # the baseline cell is always needed
+    cells = _evaluate_modes(stream, fu_class, num_modules, stats, scheme,
+                            plan.schemes, plain_modes)
+    compiler_modes = [m for m in ("compiler", "hw+compiler")
+                      if m in plan.swap_modes]
+    if compiler_modes:
+        # the compiler must canonicalise in the same direction the
+        # hardware swap rule implies, or the two mechanisms fight
+        direction = {fu_class:
+                     denser_first_from_swap_case(choose_swap_case(stats))}
+        swapped, report = swap_optimize(program, denser_first=direction)
+        if report.swapped:
+            # the rewritten program is a distinct version (different
+            # instruction content, so a different cache key); a rewrite
+            # that swapped nothing replays the plain stream
+            stream, hit, key = _fetch(plan, swapped, held)
+            streams.append((key, hit))
+        cells.update(_evaluate_modes(stream, fu_class, num_modules, stats,
+                                     scheme, plan.schemes, compiler_modes))
+    return {"cells": cells, "streams": streams}
+
+
+def _run_plan(plan: _Plan, run: TaskRunner, report_cache: bool,
+              trace_cache_limit_mb: Optional[float]) -> Figure4Result:
+    """Statistics tasks, cells tasks, then one merge in workload order —
+    never arrival order, so the panel is the same for any job count.
+
+    ``report_cache`` is false when ``plan.cache_dir`` is a pool run's
+    private scratch cache: its hits and misses are not the caller's.
+    """
+    stats_outcomes: List[Dict[str, Any]] = []
+    if plan.stats_source == "paper":
+        stats = paper_statistics(plan.fu_class)
+    else:
+        stats_outcomes = run(_stats_task, plan.payloads())
+        patterns = BitPatternCollector(plan.fu_class, scheme=plan.scheme)
+        usage = ModuleUsageCollector([plan.fu_class])
+        for outcome in stats_outcomes:
+            patterns.merge(outcome["patterns"])
+            usage.merge(outcome["usage"])
+        stats = _case_statistics(patterns, usage, plan.config)
+    plan = replace(plan, stats=stats)
+    cell_outcomes = run(_cells_task, plan.payloads())
+
+    result = Figure4Result(fu_class=plan.fu_class,
+                           workload_names=[w.name for w in plan.workloads],
+                           statistics=stats)
+    for load, outcome in zip(plan.workloads, cell_outcomes):
+        result.add(load.name, outcome["cells"])
+    # a version's first fetch decides its provenance: a pool cells task
+    # re-reads the entry its statistics task recorded
+    first_fetch: Dict[str, bool] = {}
+    for outcome in stats_outcomes + cell_outcomes:
+        for key, hit in outcome["streams"]:
+            first_fetch.setdefault(key, hit)
+    result.simulations = sum(not hit for hit in first_fetch.values())
+    if report_cache:
+        result.cache_hits = len(first_fetch) - result.simulations
+        result.cache_misses = result.simulations
+        if trace_cache_limit_mb is not None:
+            protect = [Path(plan.cache_dir) / f"{key}.trace.gz"
+                       for key in first_fetch]
+            prune_trace_cache(plan.cache_dir, trace_cache_limit_mb,
+                              protect=protect)
+    return result
+
+
 def run_figure4(fu_class: FUClass,
                 workloads: Optional[Iterable[Workload]] = None,
                 scale: Optional[int] = None,
@@ -238,22 +452,23 @@ def run_figure4(fu_class: FUClass,
 
     Each program version is simulated exactly once; the captured stream
     is replayed for the statistics pass and every evaluator set.  With
-    ``trace_cache_dir`` the captures are persisted content-addressed,
-    so a rerun with unchanged programs and machine config simulates
-    nothing at all (``result.cache_hits`` / ``cache_misses`` report
-    what happened; ``result.simulations`` counts actual simulator
-    runs).  ``trace_cache_limit_mb`` prunes the cache LRU-style after
-    the run, never evicting an entry this run just used.
+    ``trace_cache_dir`` the captures are persisted content-addressed
+    (recorded under ``TraceCacheLock``), so a rerun with unchanged
+    programs and machine config simulates nothing at all
+    (``result.cache_hits`` / ``cache_misses`` report what happened;
+    ``result.simulations`` counts actual simulator runs).
+    ``trace_cache_limit_mb`` prunes the cache LRU-style after the run,
+    never evicting an entry this run just used.
 
     ``engine`` picks the evaluation path: ``"batch"`` (default) runs
     the fused columnar kernels over packed streams; ``"object"`` is the
     classic decoded-stream loop, kept as the reference oracle the
     parity tests compare against.  Both produce bit-identical results.
-    ``jobs`` > 1 fans the per-workload replay work across a process
-    pool (results merge deterministically, so the output is byte-stable
-    regardless of the job count).
+    ``jobs`` > 1 runs the per-workload tasks on a process pool over the
+    trace cache (a temporary one without ``trace_cache_dir``); results
+    merge in workload order, so the output is byte-stable regardless
+    of the job count.
     """
-    _check_engine(engine)
     if jobs > 1:
         from .parallel import ParallelFigureRunner
         return ParallelFigureRunner(jobs=jobs).run_figure4(
@@ -262,104 +477,14 @@ def run_figure4(fu_class: FUClass,
             swap_modes=swap_modes, scheme=scheme,
             trace_cache_dir=trace_cache_dir, engine=engine,
             trace_cache_limit_mb=trace_cache_limit_mb)
-    config = config or default_config()
-    if workloads is None:
-        workloads = (integer_suite() if fu_class is FUClass.IALU
-                     else float_suite())
-    workloads = list(workloads)
-    scheme = scheme or scheme_for(fu_class)
-    programs = [w.build(scale) for w in workloads]
-    num_modules = config.modules(fu_class)
-    if stats_source not in ("measured", "paper"):
-        raise ValueError("stats_source must be 'measured' or 'paper'")
-
-    # one simulation (or cache hit) per unmodified program version; the
-    # captured streams feed the statistics pass *and* the evaluator sets
-    captured: List[IssueSource] = []
-    hits = misses = 0
-    for program in programs:
-        stream, hit = _captured_stream(program, config, fu_class,
-                                       trace_cache_dir, engine)
-        captured.append(stream)
-        hits += hit
-        misses += not hit
-
-    if stats_source == "paper":
-        stats = paper_statistics(fu_class)
-    else:
-        stats, _, _ = statistics_from_sources(captured, fu_class, config,
-                                              scheme)
-
-    result = Figure4Result(fu_class=fu_class,
-                           workload_names=[w.name for w in workloads],
-                           statistics=stats)
-    needs_compiler = any("compiler" in m for m in swap_modes)
-    used_programs: List[Program] = list(programs)
-
-    for program, stream in zip(programs, captured):
-        plain_modes = [m for m in ("none", "hw") if m in swap_modes]
-        if "none" not in plain_modes:
-            plain_modes.append("none")  # the baseline cell is always needed
-        _evaluate_modes(stream, program.name, fu_class, num_modules, stats,
-                        scheme, schemes, plain_modes, result)
-        if needs_compiler:
-            # the compiler must canonicalise in the same direction the
-            # hardware swap rule implies, or the two mechanisms fight
-            from ..compiler.swap_pass import denser_first_from_swap_case
-            direction = {fu_class:
-                         denser_first_from_swap_case(choose_swap_case(stats))}
-            swapped, _report = swap_optimize(program, denser_first=direction)
-            compiler_modes = [m for m in ("compiler", "hw+compiler")
-                              if m in swap_modes]
-            # the rewritten program is a distinct version (different
-            # instruction content, so a different cache key)
-            sw_stream, hit = _captured_stream(swapped, config, fu_class,
-                                              trace_cache_dir, engine)
-            hits += hit
-            misses += not hit
-            _evaluate_modes(sw_stream, swapped.name, fu_class, num_modules,
-                            stats, scheme, schemes, compiler_modes, result)
-            used_programs.append(swapped)
-    result.cache_hits = hits if trace_cache_dir is not None else 0
-    result.cache_misses = misses if trace_cache_dir is not None else 0
-    result.simulations = misses
-    if trace_cache_dir is not None and trace_cache_limit_mb is not None:
-        protect = [Path(trace_cache_dir)
-                   / (trace_cache_key(p, config, (fu_class,)) + ".trace.gz")
-                   for p in used_programs]
-        prune_trace_cache(trace_cache_dir, trace_cache_limit_mb,
-                          protect=protect)
-    return result
-
-
-def _evaluate_modes(stream: IssueSource, program_name: str,
-                    fu_class: FUClass, num_modules: int,
-                    stats: CaseStatistics, scheme: InfoBitScheme,
-                    schemes: Sequence[str], modes: Sequence[str],
-                    result: Figure4Result) -> None:
-    """Replay one program version's stream through evaluators for
-    ``modes`` — no simulation happens here."""
-    per_mode: Dict[str, Dict[str, PolicyEvaluator]] = {}
-    consumers: List[PolicyEvaluator] = []
-    for mode in modes:
-        hw = mode in ("hw", "hw+compiler")
-        evaluators = _build_evaluators(fu_class, num_modules, stats, scheme,
-                                       schemes, with_hw_swap=hw)
-        per_mode[mode] = evaluators
-        consumers.extend(evaluators.values())
-    drive_stream(stream, consumers)
-    workload_name = program_name.removesuffix("+cswap")
-    breakdown = result.per_workload.setdefault(workload_name, {})
-    for mode, evaluators in per_mode.items():
-        for kind, evaluator in evaluators.items():
-            cell = result.cells.setdefault((kind, mode),
-                                           CellResult(kind, mode))
-            totals = evaluator.totals()
-            cell.switched_bits += totals.switched_bits
-            cell.operations += totals.operations
-            cell.hardware_swaps += totals.hardware_swaps
-            breakdown[(kind, mode)] = breakdown.get((kind, mode), 0) \
-                + totals.switched_bits
+    plan = _plan(fu_class, workloads, scale, config, stats_source, schemes,
+                 swap_modes, scheme, engine, trace_cache_dir)
+    # in process, each statistics task hands its stream to the cells
+    # task: no second fetch, and without a cache dir nothing is written
+    held: HeldStreams = {}
+    return _run_plan(plan,
+                     lambda task, payloads: [task(p, held) for p in payloads],
+                     trace_cache_dir is not None, trace_cache_limit_mb)
 
 
 def run_figure4_synthetic(fu_class: FUClass,
@@ -386,29 +511,15 @@ def run_figure4_synthetic(fu_class: FUClass,
                          " run_figure4 for compiler regimes")
     stats = stats or paper_statistics(fu_class)
     scheme = scheme or scheme_for(fu_class)
-    result = Figure4Result(fu_class=fu_class,
-                           workload_names=[f"synthetic-{operand_mode}"],
+    source = SyntheticSource(stats, cycles, num_modules=num_modules,
+                             operand_mode=operand_mode, seed=seed)
+    result = Figure4Result(fu_class=fu_class, workload_names=[source.name],
                            statistics=stats)
     modes = list(swap_modes)
     if "none" not in modes:
         modes.append("none")
-    evaluator_sets = {}
-    for mode in modes:
-        evaluator_sets[mode] = _build_evaluators(
-            fu_class, num_modules, stats, scheme, schemes,
-            with_hw_swap=(mode == "hw"))
-    source = SyntheticSource(stats, cycles, num_modules=num_modules,
-                             operand_mode=operand_mode, seed=seed)
-    drive(source, [evaluator for evaluators in evaluator_sets.values()
-                   for evaluator in evaluators.values()])
-    for mode, evaluators in evaluator_sets.items():
-        for kind, evaluator in evaluators.items():
-            totals = evaluator.totals()
-            cell = result.cells.setdefault((kind, mode),
-                                           CellResult(kind, mode))
-            cell.switched_bits += totals.switched_bits
-            cell.operations += totals.operations
-            cell.hardware_swaps += totals.hardware_swaps
+    result.add(source.name, _evaluate_modes(source, fu_class, num_modules,
+                                            stats, scheme, schemes, modes))
     return result
 
 

@@ -15,7 +15,7 @@ from .columns import (ALL_COLUMNS, F_COMMUT, F_CRITICAL, F_HAS_TWO,
                       F_HW_SWAP, F_SPEC, F_SWAPPED, GROUP_COLUMNS,
                       NUMPY_DTYPES, OP_COLUMNS, PackedColumns, PackedTrace,
                       SWAPPED_CASE, pack_stream)
-from .engine import ENGINES, drive_stream, pack_source, packed_cached
+from .engine import ENGINES, drive_stream, packed_cached
 from .kernels import POPCOUNT16, batch_drive, popcount64
 from .sidecar import (MAGIC, PACK_VERSION, PackFormatError,
                       SUPPORTED_PACK_VERSIONS, load_sidecar, sidecar_path,
@@ -28,7 +28,6 @@ __all__ = [
     "SWAPPED_CASE",
     "F_COMMUT", "F_CRITICAL", "F_HAS_TWO", "F_HW_SWAP", "F_SPEC",
     "F_SWAPPED",
-    "batch_drive", "drive_stream", "load_sidecar", "pack_source",
-    "pack_stream", "packed_cached", "popcount64", "sidecar_path",
-    "write_sidecar",
+    "batch_drive", "drive_stream", "load_sidecar", "pack_stream",
+    "packed_cached", "popcount64", "sidecar_path", "write_sidecar",
 ]

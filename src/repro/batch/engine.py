@@ -2,10 +2,10 @@
 
 This is the glue between the columnar kernels and the experiment
 drivers: it produces a :class:`~repro.batch.columns.PackedTrace` for a
-(program, machine-config) pair while honouring the exact same
-content-addressed cache discipline as :func:`repro.streams.cached_source`
-— plus a *packed sidecar* next to each cached trace so a warm cache hit
-memory-maps the columns instead of re-parsing gzip JSON.
+(program, machine-config) pair through the trace cache's fleet-safe
+lookup, :func:`repro.streams.cached_or_record` — plus a *packed
+sidecar* next to each cached trace so a warm cache hit memory-maps the
+columns instead of re-parsing gzip JSON.
 
 Cache behaviour per call:
 
@@ -16,8 +16,10 @@ Cache behaviour per call:
   by *streaming* ``ReplaySource.groups()`` straight from disk (never
   materialising the object stream), and the sidecar is rewritten
   best-effort.
-* **miss** — one simulation populates the cache, the fresh capture is
-  packed from memory, and the sidecar is written alongside.
+* **miss** — one simulation populates the cache under
+  ``TraceCacheLock`` (a concurrent recorder of the same key is waited
+  for and replayed instead), the fresh capture is packed from memory,
+  and the sidecar is written alongside once the lock is released.
 * **no cache dir** — plain capture-and-pack, nothing persisted.
 
 :func:`drive_stream` dispatches a consumer set over either stream shape
@@ -33,8 +35,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 from ..cpu.config import MachineConfig
 from ..isa.instructions import FUClass
 from ..isa.program import Program
-from ..streams import (IssueSource, LiveSource, capture, cached_source,
-                       drive, record_cached, trace_cache_key)
+from ..streams import (LiveSource, cached_or_record, capture, drive,
+                       trace_cache_key)
 from .columns import PackedTrace, pack_stream
 from .kernels import batch_drive
 from .sidecar import (PackFormatError, load_sidecar, sidecar_path,
@@ -43,15 +45,6 @@ from .sidecar import (PackFormatError, load_sidecar, sidecar_path,
 #: selectable evaluation engines: ``batch`` (the fused columnar kernels)
 #: and ``object`` (the decoded-stream reference oracle)
 ENGINES = ("batch", "object")
-
-
-def pack_source(source: IssueSource,
-                fu_classes: Optional[Iterable[FUClass]] = None
-                ) -> PackedTrace:
-    """Pack any issue source in one streaming pass (lazy for replays)."""
-    packed = pack_stream(source.groups(), fu_classes, name=source.name)
-    packed.result = source.result
-    return packed
 
 
 def _load_or_repack(found, config_fingerprint: str,
@@ -89,32 +82,30 @@ def packed_cached(program: Program, config: MachineConfig,
     ``(packed, cache_hit)`` with identical cache-population semantics,
     plus sidecar persistence and an LRU mtime touch on hits.
     """
-    if cache_dir is not None:
-        found = cached_source(program, config, cache_dir, fu_classes)
-        if found is not None:
-            try:
-                os.utime(found.path)  # LRU recency for cache pruning
-            except OSError:
-                pass
-            return (_load_or_repack(found, config.fingerprint(), fu_classes),
-                    True)
-        memory = record_cached(program, config, cache_dir, fu_classes,
-                               telemetry=telemetry)
-        packed = pack_stream(memory.groups(), fu_classes,
-                             name=memory.name, result=memory.result)
-        side = sidecar_path(
-            Path(cache_dir)
-            / (trace_cache_key(program, config, fu_classes) + ".trace.gz"))
+    if cache_dir is None:
+        memory = capture(LiveSource(program, config, telemetry=telemetry),
+                         fu_classes)
+        return pack_stream(memory.groups(), fu_classes, name=memory.name,
+                           result=memory.result), False
+    source, state = cached_or_record(program, config, cache_dir, fu_classes,
+                                     telemetry=telemetry)
+    if state == "hit":
         try:
-            write_sidecar(side, packed,
-                          config_fingerprint=config.fingerprint())
+            os.utime(source.path)  # LRU recency for cache pruning
         except OSError:
             pass
-        return packed, False
-    memory = capture(LiveSource(program, config, telemetry=telemetry),
-                     fu_classes)
-    return pack_stream(memory.groups(), fu_classes, name=memory.name,
-                       result=memory.result), False
+        return (_load_or_repack(source, config.fingerprint(), fu_classes),
+                True)
+    packed = pack_stream(source.groups(), fu_classes, name=source.name,
+                         result=source.result)
+    side = sidecar_path(
+        Path(cache_dir)
+        / (trace_cache_key(program, config, fu_classes) + ".trace.gz"))
+    try:
+        write_sidecar(side, packed, config_fingerprint=config.fingerprint())
+    except OSError:
+        pass
+    return packed, False
 
 
 def drive_stream(stream, consumers: Sequence, finalize: bool = True):

@@ -92,6 +92,17 @@ def _policy_kind(value: str) -> str:
     return value
 
 
+def _job_count(value: str) -> int:
+    """argparse type for ``--jobs``: a worker count of at least one."""
+    try:
+        jobs = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: '{value}'")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {jobs}")
+    return jobs
+
+
 def _selected_workloads(names: Optional[List[str]]):
     if not names:
         return all_workloads()
@@ -660,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
                         " packed streams (batch, the default) or the"
                         " reference object loop (object); both print"
                         " identical bytes")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_job_count, default=1,
                    help="fan per-workload evaluation across N worker"
                         " processes (output is byte-stable for any N)")
     p.set_defaults(func=cmd_figure4)
@@ -895,6 +906,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "cache_limit_mb", None) is not None \
+            and not args.cache_dir:
+        parser.error(f"{args.command}: --cache-limit-mb needs --cache-dir")
     try:
         return args.func(args)
     except KeyboardInterrupt:

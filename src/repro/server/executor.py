@@ -15,12 +15,12 @@ response dict``):
   observe it, and platforms without ``fork`` get a fallback.
 
 The evaluation itself (:func:`evaluate_request`) is the CLI's own
-figure-4 driver against the server's shared trace cache.  Before
-running it, every unmodified program version is pre-warmed through
-:func:`repro.streams.cached_or_record`, which contends on
-``TraceCacheLock`` — so coalescing holds *across server processes*
-sharing one cache directory: one process simulates a given
-(program, config) stream, the rest replay it.
+figure-4 driver against the server's shared trace cache.  That driver
+records every program version under ``TraceCacheLock``, so coalescing
+holds *across server processes* sharing one cache directory: one
+process simulates a given (program, config) stream, the rest replay
+it.  The provenance in ``meta`` therefore counts the request's own
+simulations and cache hits.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from ..analysis.energy import (Figure4Result, run_figure4,
                                run_figure4_synthetic)
 from ..analysis.report import render_figure4
 from ..runner.pool import PoolItem, ProcessTaskPool
-from ..streams import cached_or_record
 from ..workloads import workload
 from .protocol import EvalRequest, request_key
 
@@ -109,21 +108,13 @@ def evaluate_request(payload: Dict[str, Any]) -> Dict[str, Any]:
             seed=request.seed, schemes=request.policies,
             swap_modes=request.swap_modes)
     else:
-        config = request.machine_config()
-        programs = build_programs(request)
         if key is None:
-            key = request_key(request, [p.fingerprint() for p in programs])
-        if cache_dir is not None:
-            # fleet-wide single flight: cached_or_record contends on
-            # TraceCacheLock, so across every server process sharing
-            # this cache directory each stream is simulated once
-            for program in programs:
-                cached_or_record(program, config, cache_dir,
-                                 (request.fu_class,))
+            key = request_key(request, [p.fingerprint()
+                                        for p in build_programs(request)])
         panel = run_figure4(
             request.fu_class,
             workloads=[workload(name) for name in request.workloads],
-            scale=request.scale, config=config,
+            scale=request.scale, config=request.machine_config(),
             stats_source=request.stats, schemes=request.policies,
             swap_modes=request.swap_modes, trace_cache_dir=cache_dir,
             engine=request.engine)

@@ -116,6 +116,67 @@ class TestTraceCache:
         assert warm.cells == cold.cells
         assert warm.per_workload == cold.per_workload
 
+    @pytest.mark.parametrize("engine", ["batch", "object"])
+    def test_waits_for_another_writers_lock(self, tmp_path, monkeypatch,
+                                            engine):
+        """While another writer holds TraceCacheLock on one version, the
+        run waits for that writer's entry and replays it."""
+        import os
+        import threading
+        import time
+
+        import repro.streams as streams_module
+        from repro.cpu.config import default_config
+        from repro.cpu.simulator import Simulator
+        from repro.streams import (TraceCacheLock, record_cached,
+                                   trace_cache_key)
+
+        program = workload("compress").build(1)
+        config = default_config()
+        fu_classes = (FUClass.IALU,)
+        key = trace_cache_key(program, config, fu_classes)
+        # the other writer's entry, recorded aside and published under
+        # its lock once the run is already waiting
+        staging = tmp_path / "staging"
+        record_cached(program, config, staging, fu_classes)
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        lock = TraceCacheLock(cache_dir, key)
+        assert lock.acquire()
+
+        def publish():
+            try:
+                time.sleep(0.5)
+                os.replace(staging / f"{key}.trace.gz",
+                           cache_dir / f"{key}.trace.gz")
+            finally:
+                lock.release()  # never leave the run waiting out the ttl
+
+        runs = []
+
+        class CountingSimulator(Simulator):
+            def run(self):
+                runs.append(self.program.name)
+                return super().run()
+
+        monkeypatch.setattr(streams_module, "Simulator", CountingSimulator)
+        writer = threading.Thread(target=publish)
+        writer.start()
+        try:
+            panel = run_figure4(FUClass.IALU,
+                                workloads=[workload("compress"),
+                                           workload("li")],
+                                scale=1, schemes=("original", "lut-4"),
+                                swap_modes=("none", "hw"),
+                                trace_cache_dir=str(cache_dir),
+                                engine=engine)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert runs == ["li"]
+        assert panel.simulations == 1
+        assert (panel.cache_hits, panel.cache_misses) == (1, 1)
+
     def test_cache_off_by_default(self, monkeypatch):
         panel = run_figure4(FUClass.IALU, workloads=[workload("compress")],
                             scale=1, schemes=("original",),

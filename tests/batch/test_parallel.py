@@ -45,6 +45,26 @@ class TestByteStability:
         assert _flat(two) == _flat(serial)
         assert _flat(three) == _flat(serial)
 
+    @pytest.mark.parametrize("stats_source", ["measured", "paper"])
+    @pytest.mark.parametrize("cached", [True, False],
+                             ids=["cache-dir", "no-cache-dir"])
+    def test_each_version_simulated_once_for_any_job_count(
+            self, tmp_path, cached, stats_source):
+        """The serial in-process run and the pool run over the caller's
+        or a temporary cache produce one panel from one simulation per
+        program version."""
+        # each workload plus its compiler rewrite, except that under the
+        # paper's swap case compress's rewrite changes nothing
+        versions = {"measured": 4, "paper": 3}[stats_source]
+        results = {jobs: _run(jobs, tmp_path / f"jobs-{jobs}" if cached
+                              else None, stats_source=stats_source)
+                   for jobs in (1, 2, 3)}
+        for jobs, result in results.items():
+            assert result.simulations == versions, jobs
+            assert result.cache_misses == (versions if cached else 0), jobs
+            assert result.cache_hits == 0, jobs
+            assert _flat(result) == _flat(results[1]), jobs
+
     def test_engines_agree_under_parallelism(self, tmp_path):
         batch = _run(2, tmp_path, engine="batch")
         obj = _run(2, tmp_path, engine="object")

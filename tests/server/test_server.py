@@ -77,6 +77,27 @@ def test_equivalent_spellings_share_cache_entry():
     serve(inline_config(), scenario)
 
 
+def test_provenance_counts_the_requests_own_simulations(tmp_path):
+    """A cold request reports the simulations it ran; a second key over
+    the same programs replays them from the shared trace cache."""
+    request = {"fu": "ialu", "workloads": ["compress", "li"], "scale": 1,
+               "policies": ["original", "lut-4"]}
+
+    async def scenario(server, client):
+        cold = await post(client, request, timeout=120.0)
+        assert cold.status == 200
+        assert cold.headers["x-simulations"] == "2"
+        assert cold.headers["x-trace-cache"] == "0 hits 2 misses"
+        warm = await post(client, dict(request, stats="paper"),
+                          timeout=120.0)
+        assert warm.status == 200
+        assert warm.headers["x-request-key"] != cold.headers["x-request-key"]
+        assert warm.headers["x-simulations"] == "0"
+        assert warm.headers["x-trace-cache"] == "2 hits 0 misses"
+        assert server.registry.counter_values()["server.simulations"] == 2
+    serve(inline_config(cache_dir=str(tmp_path)), scenario)
+
+
 def test_bad_requests():
     async def scenario(server, client):
         bad_json = await client.request("POST", "/v1/evaluate", b"{nope")

@@ -93,6 +93,19 @@ class TestCli:
             assert excinfo.value.code == 2
             assert "invalid choice" in capsys.readouterr().err
 
+    def test_figure4_job_count_checked_at_parse_time(self, capsys):
+        for jobs in ("0", "-2"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["figure4", "ialu", "--jobs", jobs])
+            assert excinfo.value.code == 2
+            assert "must be at least 1" in capsys.readouterr().err
+
+    def test_figure4_cache_limit_needs_cache_dir(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure4", "ialu", "--cache-limit-mb", "5"])
+        assert excinfo.value.code == 2
+        assert "--cache-limit-mb needs --cache-dir" in capsys.readouterr().err
+
     def test_figure4_policies_override(self, capsys):
         code, output = run_cli(capsys, "figure4", "ialu", "--synthetic",
                                "--cycles", "2000",
