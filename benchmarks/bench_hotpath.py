@@ -279,12 +279,12 @@ def bench_batch_replay(quick: bool, repeats: int = 1) -> dict:
 
     Both sides start from the same fully warm trace cache, so neither
     simulates anything — the comparison isolates the evaluation layer.
-    The *object* side re-decodes the recorded stream into IssueGroup
-    objects and walks them through evaluator method calls; the *batch*
-    side memory-maps the packed sidecar and runs the fused per-policy
-    kernels over flat arrays.  The object path is the reference oracle:
-    every cell and every statistics row must be bit-identical or this
-    benchmark raises.
+    Both memory-map the same pack-file entries.  The *object* side
+    rebuilds IssueGroup objects from the columns one group at a time
+    and walks them through evaluator method calls; the *batch* side
+    runs the fused per-policy kernels over the flat arrays.  The object
+    path is the reference oracle: every cell and every statistics row
+    must be bit-identical or this benchmark raises.
     """
     import shutil
     import tempfile
@@ -300,8 +300,8 @@ def bench_batch_replay(quick: bool, repeats: int = 1) -> dict:
 
     cache_dir = tempfile.mkdtemp(prefix="bench-batch-cache-")
     try:
-        # warm: simulates each program version once, records the trace,
-        # and writes the packed sidecar the batch side memory-maps
+        # warm: simulates each program version once and writes the
+        # pack-file entries both sides replay
         run_figure4(fu, workloads=loads, schemes=schemes, swap_modes=modes,
                     trace_cache_dir=cache_dir, engine="batch")
 

@@ -27,22 +27,22 @@ simulated exactly once: the issue stream is captured through
 :mod:`repro.streams` and then *replayed* — for the statistics pass and
 for every (scheme, swap) evaluator cell — because evaluation is far
 cheaper than simulation and a captured stream is bit-identical to live
-listening.  With ``trace_cache_dir`` set, captures are persisted under
-content-addressed keys (program + machine-config fingerprints) and
-recorded under ``TraceCacheLock``, so later runs skip simulation
-entirely and concurrent runs sharing the cache simulate each version
-once between them.  Reductions are reported against the paper's
-baseline: ``original`` steering, no swapping, unmodified programs.
+listening.  With ``trace_cache_dir`` set, each capture is persisted as
+one pack file under a content-addressed key (program + machine-config
+fingerprints) and recorded under ``TraceCacheLock``, so later runs skip
+simulation entirely and concurrent runs sharing the cache simulate each
+version once between them.  Reductions are reported against the
+paper's baseline: ``original`` steering, no swapping, unmodified
+programs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from ..batch import ENGINES, drive_stream, packed_cached
+from ..batch import ENGINES, drive_stream, pack_stream
 from ..compiler import denser_first_from_swap_case, swap_optimize
 from ..cpu.config import MachineConfig, default_config
 from ..core.info_bits import InfoBitScheme, scheme_for
@@ -52,9 +52,9 @@ from ..core.steering import PolicyEvaluator, make_policy
 from ..core.swapping import HardwareSwapper, choose_swap_case
 from ..isa.instructions import FUClass
 from ..isa.program import Program
-from ..streams import (IssueSource, LiveSource, PathLike, SyntheticSource,
-                       cached_or_record, capture, prune_trace_cache,
-                       trace_cache_key)
+from ..streams import (IssueSource, LiveSource, PackedSource, PathLike,
+                       SyntheticSource, cache_entry_path, cached_or_record,
+                       capture, prune_trace_cache, trace_cache_key)
 from ..workloads.base import Workload, float_suite, integer_suite
 from .bit_patterns import BitPatternCollector
 from .module_usage import ModuleUsageCollector
@@ -189,32 +189,35 @@ def _case_statistics(patterns: BitPatternCollector,
 
 
 def _captured_stream(program: Program, config: MachineConfig,
-                     fu_class: FUClass, cache_dir, engine: str = "object"
-                     ) -> Tuple[IssueSource, bool]:
+                     fu_class: FUClass, cache_dir, engine: str = "object",
+                     key: Optional[str] = None) -> Tuple[IssueSource, bool]:
     """One issue stream per program version, simulated at most once.
 
     Without a cache directory this is a plain in-memory capture (one
-    simulation).  With one, the stream comes through
-    :func:`repro.streams.cached_or_record`: a recorded trace under the
-    content-addressed key is replayed, and a miss simulates and
-    populates the cache under ``TraceCacheLock``, so across processes
-    sharing the directory one records and the rest replay.  Returns
+    simulation).  With one, the stream is the cache entry under ``key``
+    fetched through :func:`repro.streams.cached_or_record`: a hit
+    memory-maps the entry's pack file, and a miss simulates and writes
+    it under ``TraceCacheLock``, so across processes sharing the
+    directory one records and the rest replay.  Returns
     ``(stream, cache_hit)``.
 
-    With the ``"batch"`` engine the stream comes back as a
-    :class:`~repro.batch.columns.PackedTrace` (mmapped from the cache
-    sidecar on a warm hit — the gzip JSON trace is not parsed at all);
-    ``"object"`` keeps the classic decoded stream as the reference path.
+    The ``"batch"`` engine gets a
+    :class:`~repro.batch.columns.PackedTrace` for the fused kernels.
+    ``"object"``, the reference path, gets the classic decoded stream:
+    the live capture, or the cache entry rebuilt one group at a time
+    (:class:`~repro.streams.PackedSource`), so peak RSS stays flat
+    however long the trace is.
     """
     fu_classes = (fu_class,)
-    if engine == "batch":
-        return packed_cached(program, config, cache_dir, fu_classes)
     if cache_dir is None:
-        return capture(LiveSource(program, config), fu_classes), False
-    # a hit is a replay that streams from disk, so each pass holds one
-    # group at a time — never the whole decoded stream (peak RSS stays
-    # flat however long the trace is)
-    stream, state = cached_or_record(program, config, cache_dir, fu_classes)
+        memory = capture(LiveSource(program, config), fu_classes)
+        if engine == "batch":
+            return pack_stream(memory.groups(), fu_classes, name=memory.name,
+                               result=memory.result), False
+        return memory, False
+    packed, state = cached_or_record(program, config, cache_dir, fu_classes,
+                                     key=key)
+    stream = packed if engine == "batch" else PackedSource(packed)
     return stream, state == "hit"
 
 
@@ -331,7 +334,7 @@ def _fetch(plan: _Plan, program: Program, held: Optional[HeldStreams]
     if held is not None and key in held:
         return (*held.pop(key), key)
     stream, hit = _captured_stream(program, plan.config, plan.fu_class,
-                                   plan.cache_dir, plan.engine)
+                                   plan.cache_dir, plan.engine, key)
     return stream, hit, key
 
 
@@ -424,7 +427,7 @@ def _run_plan(plan: _Plan, run: TaskRunner, report_cache: bool,
         result.cache_hits = len(first_fetch) - result.simulations
         result.cache_misses = result.simulations
         if trace_cache_limit_mb is not None:
-            protect = [Path(plan.cache_dir) / f"{key}.trace.gz"
+            protect = [cache_entry_path(plan.cache_dir, key)
                        for key in first_fetch]
             prune_trace_cache(plan.cache_dir, trace_cache_limit_mb,
                               protect=protect)

@@ -65,7 +65,7 @@ ALL_COLUMNS = GROUP_COLUMNS + OP_COLUMNS
 
 #: array typecode -> little-endian NumPy dtype string.  Columns are
 #: stored as ``array.array`` (fresh packs) or ``memoryview`` casts over
-#: the sidecar mmap; both expose the buffer protocol, so the array
+#: the pack-file mmap; both expose the buffer protocol, so the array
 #: kernels wrap them with ``np.frombuffer(column, dtype)`` —
 #: a zero-copy view, never a converted copy.
 NUMPY_DTYPES = {"Q": "<u8", "I": "<u4", "H": "<u2", "B": "u1", "i": "<i4"}
@@ -127,7 +127,7 @@ class PackedTrace:
         self.opcode_names: List[str] = []
         self._opcode_index: Dict[str, int] = {}
         self._opcode_objs: Optional[List[OpcodeInfo]] = None
-        # backing store (sidecar mmap) kept alive while columns are used
+        # backing store (pack-file mmap) kept alive while columns are used
         self._mmap = None
 
     @property

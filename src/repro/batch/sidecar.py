@@ -1,26 +1,28 @@
-"""Packed-trace sidecars: persist columns next to the v2 trace.
+"""Pack files: a :class:`~repro.batch.columns.PackedTrace` on disk.
 
-A sidecar stores a :class:`~repro.batch.columns.PackedTrace` as raw
-column bytes so a cache hit can memory-map the columns instead of
-re-parsing (and re-packing) the JSON trace.  The file lives alongside
-the content-addressed trace under ``<key>.trace.gz.pack`` and carries
-the same config fingerprint, so the existing cache-key discipline
-covers it.
+A pack file stores the columns as raw bytes, so reading one
+memory-maps them instead of decoding anything.  It is the trace
+cache's one on-disk format: each entry is a single ``<key>.pack`` file
+(named by :func:`repro.streams.cache_entry_path`) whose header carries
+the config fingerprint the cache key covers and the recording run's
+:class:`~repro.cpu.trace.SimulationResult`, so a hit still reports
+cycles, IPC and the telemetry counters without re-simulating.
 
 Format::
 
     b"RPAK"  | u32 version | u32 header_len | header JSON | payload
 
 The header describes every column (typecode, item size, byte offset,
-byte length) plus the opcode-name table and the global group order;
-the payload is the concatenated column bytes, each 8-byte aligned.
+byte length) plus the opcode-name table, the global group order and
+the run summary; the payload is the concatenated column bytes, each
+8-byte aligned.
 
-Failure semantics mirror the trace reader's: an unknown *future*
-version, a truncated payload, a corrupt header, a byte-order mismatch,
-or an unresolvable opcode name all raise :class:`PackFormatError` —
-callers (the batch engine's cache layer) treat that as "no sidecar"
-and re-pack from the trace, never crash.  Writes are atomic
-(temp-then-rename), like every other cache artifact.
+Refuse, don't guess: an unsupported version (older or newer), a
+truncated payload, a corrupt header, a byte-order mismatch, or an
+unresolvable opcode name all raise :class:`PackFormatError`, which
+the trace cache treats as a miss.  Writes are atomic
+(temp-then-rename), so a killed writer never leaves a half-written
+entry under a cache key.
 """
 
 from __future__ import annotations
@@ -35,32 +37,27 @@ from array import array
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from ..cpu.trace import SimulationResult
 from ..isa.instructions import FUClass, opcode as _opcode
 from .columns import ALL_COLUMNS, PackedColumns, PackedTrace
 
 PathLike = Union[str, Path]
 
 MAGIC = b"RPAK"
-PACK_VERSION = 1
-SUPPORTED_PACK_VERSIONS = (1,)
+PACK_VERSION = 2  # 2: the header carries the run summary
+SUPPORTED_PACK_VERSIONS = (2,)
 _PREFIX = struct.Struct("<4sII")  # magic, version, header length
 _ALIGN = 8
 
 
-def sidecar_path(trace_path: PathLike) -> Path:
-    """The sidecar path for a trace file (``<trace>.pack``)."""
-    trace_path = Path(trace_path)
-    return trace_path.with_name(trace_path.name + ".pack")
-
-
 class PackFormatError(ValueError):
-    """A packed sidecar is truncated, corrupt, foreign, or from the
-    future.  Mirrors :class:`~repro.cpu.tracefile.TraceFormatError`:
-    carries the path and a reason, and callers degrade to a re-pack."""
+    """A pack file is truncated, corrupt, foreign, or of another
+    version.  Mirrors :class:`~repro.cpu.tracefile.TraceFormatError`:
+    carries the path and a reason; the trace cache counts it a miss."""
 
     def __init__(self, path: PathLike, reason: str):
         self.path = str(path)
-        super().__init__(f"bad packed sidecar ({self.path}): {reason}")
+        super().__init__(f"bad pack file ({self.path}): {reason}")
 
 
 def _aligned(offset: int) -> int:
@@ -69,7 +66,8 @@ def _aligned(offset: int) -> int:
 
 def write_sidecar(path: PathLike, packed: PackedTrace,
                   config_fingerprint: Optional[str] = None) -> int:
-    """Serialise ``packed`` atomically; returns bytes written."""
+    """Write ``packed`` to the pack file ``path`` atomically, run
+    summary (``packed.result``) included; returns bytes written."""
     target = Path(path)
     chunks = []  # (bytes, descriptor-dict to fill with offset)
     offset = 0
@@ -107,6 +105,8 @@ def write_sidecar(path: PathLike, packed: PackedTrace,
         "n_groups": packed.n_groups,
         "order": order_desc,
         "classes": class_entries,
+        "result": (packed.result.to_dict()
+                   if packed.result is not None else None),
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
 
@@ -161,14 +161,26 @@ def _check_desc(path: PathLike, name: str, desc: Any, payload_len: int,
             f" of item size {itemsize}")
 
 
+def _result(path: PathLike, payload: Any) -> Optional[SimulationResult]:
+    """The run summary stored in a pack header, if any."""
+    if payload is None:
+        return None
+    try:
+        return SimulationResult.from_dict(payload)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise PackFormatError(path, f"malformed run summary: {exc}") \
+            from exc
+
+
 def load_sidecar(path: PathLike,
                  expected_config: Optional[str] = None,
                  use_mmap: bool = True) -> PackedTrace:
-    """Load a sidecar; columns are memory-mapped views when possible.
+    """Load a pack file; columns are memory-mapped views when possible.
 
-    Raises :class:`PackFormatError` for anything suspicious — callers
-    re-pack from the trace instead.  ``expected_config`` guards against
-    a stale sidecar next to a rewritten trace.
+    Raises :class:`PackFormatError` for anything suspicious.
+    ``expected_config`` refuses a pack recorded under another machine
+    config.  The returned trace's ``result`` is the stored run summary,
+    or ``None`` when the writer had none.
     """
     path = Path(path)
     try:
@@ -232,7 +244,8 @@ def load_sidecar(path: PathLike,
                 # fall back to a copy
                 return array(expect_code, chunk.tobytes())
 
-        packed = PackedTrace(name=str(header.get("name", path.stem)))
+        packed = PackedTrace(name=str(header.get("name", path.stem)),
+                             result=_result(path, header.get("result")))
         packed._mmap = mapped
         opcodes = header.get("opcodes")
         if not isinstance(opcodes, list) \

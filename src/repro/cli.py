@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -101,6 +102,19 @@ def _job_count(value: str) -> int:
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {jobs}")
     return jobs
+
+
+def _cache_limit(value: str) -> float:
+    """argparse type for ``--cache-limit-mb``: a finite size of at least
+    0 (0 empties the cache of everything this run did not use)."""
+    try:
+        limit = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: '{value}'")
+    if not math.isfinite(limit) or limit < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite size of at least 0, not {value}")
+    return limit
 
 
 def _selected_workloads(names: Optional[List[str]]):
@@ -661,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir",
                    help="content-addressed trace cache: record streams on"
                         " miss, replay instead of simulating on hit")
-    p.add_argument("--cache-limit-mb", type=float, default=None,
+    p.add_argument("--cache-limit-mb", type=_cache_limit, default=None,
                    help="prune the trace cache LRU-style past this size"
                         " after the run (entries this run used are never"
                         " evicted)")

@@ -238,44 +238,32 @@ def execute_task(task: TaskSpec) -> Dict[str, Any]:
     # published stream, so every cell that shares (workload, scale,
     # machine config) shares one recorded stream regardless of policy
     # set or fault rate — exactly what the content-addressed cache keys
-    # on.  A hit replays the trace instead of simulating; its header
+    # on.  A hit replays the entry instead of simulating; its pack
     # carries the original run's summary and counters.
-    sim_result = None
     cache_state = "off"
     if task.trace_cache_dir:
         # fleet-safe lookup: across every worker process on every host
         # sharing this cache directory, one records and the rest replay
         # (streams.cached_or_record contends on the per-key advisory
         # lock).  On a miss our consumers rode the recording pass.
-        source, cache_state = streams.cached_or_record(
+        packed, cache_state = streams.cached_or_record(
             program, config, task.trace_cache_dir, (fu_class,),
             telemetry=session, extra_consumers=[coordinator])
+        sim_result = packed.result
         if cache_state == "hit":
             if injectors:
                 # fault views are injected per evaluator inside the
                 # shared pass; keep the object path
-                streams.drive(source, [coordinator])
+                streams.drive(streams.PackedSource(packed), [coordinator])
             else:
                 # warm hit with no fault injection: score every
-                # evaluator through the fused columnar kernels straight
-                # off the packed sidecar (bit-identical to the shared
-                # object pass; tests/batch/test_parity.py).  Only a pack
-                # or load failure degrades to the reference path, and
-                # only before any evaluator has been touched: a kernel
-                # error fails the task instead of being double counted
-                from ..batch import PackFormatError, batch_drive, packed_cached
-                try:
-                    packed, _ = packed_cached(program, config,
-                                              task.trace_cache_dir,
-                                              (fu_class,))
-                except (PackFormatError, OSError):
-                    streams.drive(source, [coordinator])
-                else:
-                    batch_drive(packed, coordinator.evaluators)
-            sim_result = source.result
+                # evaluator through the fused columnar kernels
+                # (bit-identical to the shared object pass;
+                # tests/batch/test_parity.py).  A kernel error fails
+                # the task rather than re-driving half-counted totals
+                from ..batch import batch_drive
+                batch_drive(packed, coordinator.evaluators)
             session.add_collector(sim_result.telemetry_counters)
-        else:
-            sim_result = source.result
     else:
         live = streams.LiveSource(program, config, telemetry=session)
         sim_result = streams.drive(live, [coordinator])

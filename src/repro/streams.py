@@ -11,7 +11,8 @@ This module makes the stream a first-class seam:
 
 * an :class:`IssueSource` is anything that can push an issue stream at
   a set of consumers — a live simulation (:class:`LiveSource`), a
-  recorded trace (:class:`ReplaySource` on disk, :class:`MemorySource`
+  recorded stream (:class:`ReplaySource` for an exported trace file,
+  :class:`PackedSource` for a trace-cache entry, :class:`MemorySource`
   in process), or a statistics-calibrated generator
   (:class:`SyntheticSource`);
 * a *consumer* is any ``(IssueGroup) -> None`` callable — exactly the
@@ -24,8 +25,16 @@ for experiments is *simulate once, replay many*: :func:`capture` runs a
 source once into an in-process :class:`MemorySource` (with final
 wrong-path flags, since the collector holds references to the MicroOps
 the flush retroactively marks), and :func:`record` additionally
-persists it as a version-2 trace file whose header carries the
-program/config fingerprints the content-addressed cache is keyed by.
+exports it as a version-2 gzip trace file (``repro record`` /
+``repro replay``).
+
+The content-addressed trace cache keeps each (program, config) stream
+as one pack file, ``<key>.pack`` (:func:`cache_entry_path`), holding
+the packed columns and the recording run's summary.  Every caller
+fetches through :func:`cached_or_record`, which looks the entry up
+(:func:`cached_source`) and, on a miss, records it once under
+:class:`TraceCacheLock` (:func:`record_cached`);
+:func:`prune_trace_cache` evicts entries LRU-first.
 
 Bit-identity is the load-bearing invariant: any consumer driven by a
 captured or replayed stream must accumulate exactly the totals it would
@@ -41,8 +50,8 @@ import os
 import socket
 import time
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator,
+                    List, Optional, Sequence, Tuple, Union)
 
 from .cpu.config import MachineConfig
 from .cpu.simulator import Simulator
@@ -51,6 +60,9 @@ from .cpu.tracefile import (header_result, load_trace, read_trace_header,
                             write_trace)
 from .isa.instructions import FUClass
 from .isa.program import Program
+
+if TYPE_CHECKING:
+    from .batch.columns import PackedTrace
 
 PathLike = Union[str, Path]
 
@@ -193,6 +205,29 @@ class ReplaySource(IssueSource):
         return self._result
 
 
+class PackedSource(IssueSource):
+    """A packed stream on the object path.
+
+    :meth:`groups` rebuilds the recorded groups one at a time through
+    :meth:`~repro.batch.columns.PackedTrace.iter_groups`, so replaying
+    a cache entry through classic consumers never holds the decoded
+    stream in memory.
+    """
+
+    kind = "replay"
+
+    def __init__(self, packed: "PackedTrace"):
+        self.packed = packed
+        self.name = packed.name
+
+    def groups(self) -> Iterator[IssueGroup]:
+        return self.packed.iter_groups()
+
+    @property
+    def result(self) -> Optional[SimulationResult]:
+        return self.packed.result
+
+
 class SyntheticSource(IssueSource):
     """Statistics-calibrated generated stream (no simulation at all).
 
@@ -299,46 +334,71 @@ def trace_cache_key(program: Program, config: MachineConfig,
     return f"{program.fingerprint()}-{config.fingerprint()}-{scope}"
 
 
+def cache_entry_path(cache_dir: PathLike, key: str) -> Path:
+    """The one file a trace-cache entry lives in: ``<key>.pack``.
+
+    Lookup, recording, pruning and the figure driver's prune-protect
+    list all name entries through here.
+    """
+    return Path(cache_dir) / f"{key}.pack"
+
+
 def cached_source(program: Program, config: MachineConfig,
                   cache_dir: PathLike,
-                  fu_classes: Optional[Iterable[FUClass]] = None
-                  ) -> "ReplaySource | None":
-    """Look up a recorded stream for (program, config) in a cache dir.
+                  fu_classes: Optional[Iterable[FUClass]] = None,
+                  key: Optional[str] = None) -> "PackedTrace | None":
+    """Look up the recorded stream for (program, config) in a cache dir.
 
-    Returns a :class:`ReplaySource` on a hit, ``None`` on a miss (or on
-    a corrupt/foreign file — a damaged cache entry is treated as a miss
-    rather than sinking the experiment).  Pair with
-    :func:`record_cached` to populate.
+    Returns the entry's :class:`~repro.batch.columns.PackedTrace`
+    (columns memory-mapped, run summary attached) on a hit, ``None`` on
+    a miss.  A damaged, foreign-version or summary-less pack, or one
+    recorded under another config, is a miss rather than a crash.  A
+    hit touches the entry's mtime, the recency LRU pruning evicts by.
+    ``key`` saves re-hashing the program when the caller has it.
+    Pair with :func:`record_cached` to populate.
     """
-    from .cpu.tracefile import TraceFormatError
-    path = Path(cache_dir) / (
-        trace_cache_key(program, config, fu_classes) + ".trace.gz")
-    if not path.exists():
+    # lazy: repro.batch.engine imports this module at load time
+    from .batch.sidecar import PackFormatError, load_sidecar
+    if key is None:
+        key = trace_cache_key(program, config, fu_classes)
+    path = cache_entry_path(cache_dir, key)
+    try:
+        packed = load_sidecar(path, expected_config=config.fingerprint())
+    except (PackFormatError, OSError):
+        return None
+    if packed.result is None:
         return None
     try:
-        source = ReplaySource(path)
-    except (TraceFormatError, OSError):
-        return None
-    if source.config_fingerprint != config.fingerprint():
-        return None  # hash-collision paranoia: never replay a mismatch
-    return source
+        os.utime(path)
+    except OSError:
+        pass  # a read-only cache still replays; it just ages
+    return packed
 
 
 def record_cached(program: Program, config: MachineConfig,
                   cache_dir: PathLike,
                   fu_classes: Optional[Iterable[FUClass]] = None,
                   telemetry=None,
-                  extra_consumers: Sequence[IssueConsumer] = ()
-                  ) -> MemorySource:
-    """Simulate once and write the stream under its cache key."""
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / (
-        trace_cache_key(program, config, fu_classes) + ".trace.gz")
-    return record(LiveSource(program, config, telemetry=telemetry), path,
-                  fu_classes=fu_classes,
-                  config_fingerprint=config.fingerprint(),
-                  extra_consumers=extra_consumers)
+                  extra_consumers: Sequence[IssueConsumer] = (),
+                  key: Optional[str] = None) -> "PackedTrace":
+    """Simulate once and write the stream's cache entry.
+
+    ``extra_consumers`` ride the one simulation pass.  The capture is
+    packed after the run (final wrong-path flags), written atomically
+    to the entry's pack file, and returned.
+    """
+    from .batch.columns import pack_stream
+    from .batch.sidecar import write_sidecar
+    if key is None:
+        key = trace_cache_key(program, config, fu_classes)
+    Path(cache_dir).mkdir(parents=True, exist_ok=True)
+    memory = capture(LiveSource(program, config, telemetry=telemetry),
+                     fu_classes, extra_consumers)
+    packed = pack_stream(memory.groups(), fu_classes, name=memory.name,
+                         result=memory.result)
+    write_sidecar(cache_entry_path(cache_dir, key), packed,
+                  config_fingerprint=config.fingerprint())
+    return packed
 
 
 class TraceCacheLock:
@@ -356,7 +416,7 @@ class TraceCacheLock:
     Purely advisory and crash-tolerant by construction: a lock file
     older than ``ttl`` is presumed orphaned by a dead host and broken
     (unlinked and re-contended).  Correctness never depends on the lock
-    — the recorded trace is content-addressed and its write is
+    — the recorded entry is content-addressed and its write is
     atomic-rename, so the worst outcome of any race is a redundant
     simulation whose bytes match what it overwrites.
     """
@@ -421,14 +481,16 @@ def cached_or_record(program: Program, config: MachineConfig,
                      extra_consumers: Sequence[IssueConsumer] = (),
                      lock_ttl: float = 600.0,
                      poll: float = 0.2,
-                     max_wait: Optional[float] = None
-                     ) -> Tuple[IssueSource, str]:
+                     max_wait: Optional[float] = None,
+                     key: Optional[str] = None
+                     ) -> Tuple["PackedTrace", str]:
     """Fleet-safe cache lookup: replay a hit, or record exactly once.
 
-    Returns ``(source, state)`` where ``state`` is ``"hit"`` (a
-    :class:`ReplaySource` was found) or ``"miss"`` (a fresh
-    :class:`MemorySource` was recorded — its consumers already rode the
-    recording pass, so the caller must *not* drive them again).
+    Returns ``(stream, state)``: the entry's
+    :class:`~repro.batch.columns.PackedTrace` and ``"hit"``, or a fresh
+    recording and ``"miss"`` (its consumers already rode the recording
+    pass, so the caller must *not* drive them again).  The key is
+    hashed once per call (or taken from ``key``).
 
     On a miss, contends on :class:`TraceCacheLock` so that across every
     process on every host sharing ``cache_dir``, one worker simulates
@@ -445,18 +507,22 @@ def cached_or_record(program: Program, config: MachineConfig,
     # module — a top-level import here would close that cycle
     from .runner.pool import full_jitter_delay
 
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    key = trace_cache_key(program, config, fu_classes)
+    Path(cache_dir).mkdir(parents=True, exist_ok=True)
+    if key is None:
+        key = trace_cache_key(program, config, fu_classes)
     deadline = time.monotonic() + (2 * lock_ttl if max_wait is None
                                    else max_wait)
     attempt = 0
+
+    def record_now() -> Tuple["PackedTrace", str]:
+        return record_cached(program, config, cache_dir, fu_classes,
+                             telemetry=telemetry,
+                             extra_consumers=extra_consumers,
+                             key=key), "miss"
+
     while True:
-        found = cached_source(program, config, cache_dir, fu_classes)
-        if found is not None and found.result is not None:
-            # a resultless header is a legacy/degenerate entry: treat
-            # as a miss and re-record over it, like the runner always
-            # has on one host
+        found = cached_source(program, config, cache_dir, fu_classes, key)
+        if found is not None:
             return found, "hit"
         lock = TraceCacheLock(cache_dir, key, ttl=lock_ttl)
         if lock.acquire():
@@ -465,22 +531,16 @@ def cached_or_record(program: Program, config: MachineConfig,
                 # holder may have published between our miss and our
                 # acquire, and replay beats re-simulating
                 found = cached_source(program, config, cache_dir,
-                                      fu_classes)
-                if found is not None and found.result is not None:
+                                      fu_classes, key)
+                if found is not None:
                     return found, "hit"
-                memory = record_cached(program, config, cache_dir,
-                                       fu_classes, telemetry=telemetry,
-                                       extra_consumers=extra_consumers)
-                return memory, "miss"
+                return record_now()
             finally:
                 lock.release()
         if time.monotonic() >= deadline:
             # give up on the lock holder; record redundantly rather
             # than wedge the campaign on a dead peer
-            memory = record_cached(program, config, cache_dir,
-                                   fu_classes, telemetry=telemetry,
-                                   extra_consumers=extra_consumers)
-            return memory, "miss"
+            return record_now()
         # cap the ceiling at 16x poll: late losers should still notice
         # the published entry within a few seconds, they just must not
         # all notice it in the same instant
@@ -493,17 +553,13 @@ def prune_trace_cache(cache_dir: PathLike, limit_mb: float,
                       protect: Iterable[PathLike] = ()) -> List[Path]:
     """Evict least-recently-used trace-cache entries past ``limit_mb``.
 
-    An *entry* is a ``.trace.gz`` file plus its packed ``.pack`` sidecar
-    (when present); the pair lives and dies together.  Recency is the
-    trace file's mtime — replay paths touch it on every hit — so the
-    oldest entries go first.  Entries named in ``protect`` (trace paths;
-    sidecars are implied) are never evicted, even when that leaves the
-    cache over the limit: evicting the stream an in-flight figure run
-    is replaying would turn its next pass into a cache miss mid-run.
-
-    Orphaned ``.pack`` files (their trace already gone) count toward the
-    budget and are pruned first.  Every unlink is individually guarded:
-    a concurrently-removed or unreadable file is skipped, never fatal.
+    An entry is one pack file (:func:`cache_entry_path`), aged by its
+    mtime — every hit touches it — so the oldest entries go first.
+    Entries named in ``protect`` are never evicted, even when that
+    leaves the cache over the limit: evicting the stream an in-flight
+    figure run is replaying would turn its next pass into a cache miss
+    mid-run.  Every stat and unlink is individually guarded: a
+    concurrently-removed or unreadable file is skipped, never fatal.
     Returns the list of deleted paths.
     """
     directory = Path(cache_dir)
@@ -511,57 +567,26 @@ def prune_trace_cache(cache_dir: PathLike, limit_mb: float,
         return []
     protected = {Path(p).resolve() for p in protect}
     limit_bytes = int(limit_mb * 1024 * 1024)
-    deleted: List[Path] = []
-
-    def _unlink(path: Path) -> int:
+    entries = []  # (mtime, path, size)
+    for path in directory.glob(cache_entry_path(directory, "*").name):
         try:
-            size = path.stat().st_size
-            path.unlink()
-        except OSError:
-            return 0
-        deleted.append(path)
-        return size
-
-    entries = []  # (mtime, trace, [files...], total_size)
-    total = 0
-    for trace in directory.glob("*.trace.gz"):
-        side = trace.with_name(trace.name + ".pack")
-        try:
-            stat = trace.stat()
+            stat = path.stat()
         except OSError:
             continue  # raced with another pruner; entry is going away
-        files = [trace]
-        size = stat.st_size
-        try:
-            # stat'd right here rather than via an exists() probe, so a
-            # sidecar written between the glob and now still counts
-            # toward the entry's size and is unlinked with it
-            size += side.stat().st_size
-        except OSError:
-            pass  # no sidecar (or it vanished); the trace still counts
-        else:
-            files.append(side)
-        total += size
-        entries.append((stat.st_mtime, trace, files, size))
-    for orphan in directory.glob("*.pack"):
-        if not orphan.with_name(orphan.name[:-len(".pack")]).exists():
-            try:
-                # the scan above only saw paired sidecars: an orphan's
-                # bytes are cache usage too, so count them before the
-                # unlink subtracts them — otherwise ``total`` undercounts
-                # and the LRU loop stops while still over the limit
-                total += orphan.stat().st_size
-            except OSError:
-                continue  # vanished mid-prune; nothing to count or unlink
-            total -= _unlink(orphan)
-    entries.sort(key=lambda entry: entry[0])
-    for _, trace, files, size in entries:
+        entries.append((stat.st_mtime, path, stat.st_size))
+    total = sum(size for _, _, size in entries)
+    deleted: List[Path] = []
+    for _, path, size in sorted(entries, key=lambda entry: entry[0]):
         if total <= limit_bytes:
             break
-        if trace.resolve() in protected:
+        if path.resolve() in protected:
             continue
-        for path in files:
-            _unlink(path)
+        try:
+            path.unlink()
+        except OSError:
+            pass  # vanished under another pruner: its bytes are gone
+        else:
+            deleted.append(path)
         total -= size
     return deleted
 
@@ -600,8 +625,9 @@ class TelemetryStreamSampler:
 
 __all__ = [
     "IssueConsumer", "IssueSource", "LiveSource", "MemorySource",
-    "ReplaySource", "SyntheticSource", "SOURCE_KINDS",
+    "PackedSource", "ReplaySource", "SyntheticSource", "SOURCE_KINDS",
     "TelemetryStreamSampler",
-    "capture", "cached_source", "drive", "prune_trace_cache", "record",
-    "record_cached", "trace_cache_key",
+    "cache_entry_path", "capture", "cached_or_record", "cached_source",
+    "drive", "prune_trace_cache", "record", "record_cached",
+    "trace_cache_key",
 ]

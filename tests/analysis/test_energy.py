@@ -128,8 +128,8 @@ class TestTraceCache:
         import repro.streams as streams_module
         from repro.cpu.config import default_config
         from repro.cpu.simulator import Simulator
-        from repro.streams import (TraceCacheLock, record_cached,
-                                   trace_cache_key)
+        from repro.streams import (TraceCacheLock, cache_entry_path,
+                                   record_cached, trace_cache_key)
 
         program = workload("compress").build(1)
         config = default_config()
@@ -147,8 +147,8 @@ class TestTraceCache:
         def publish():
             try:
                 time.sleep(0.5)
-                os.replace(staging / f"{key}.trace.gz",
-                           cache_dir / f"{key}.trace.gz")
+                os.replace(cache_entry_path(staging, key),
+                           cache_entry_path(cache_dir, key))
             finally:
                 lock.release()  # never leave the run waiting out the ttl
 
@@ -176,6 +176,40 @@ class TestTraceCache:
         assert runs == ["li"]
         assert panel.simulations == 1
         assert (panel.cache_hits, panel.cache_misses) == (1, 1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_run_leaves_one_pack_per_program_version(self, tmp_path,
+                                                          jobs):
+        from repro.cpu.config import default_config
+        from repro.streams import cache_entry_path, trace_cache_key
+
+        panel = run_figure4(FUClass.IALU, workloads=[workload("compress")],
+                            scale=1, schemes=("original", "lut-4"),
+                            swap_modes=("none", "hw", "compiler"),
+                            trace_cache_dir=str(tmp_path), jobs=jobs)
+        # compress and its compiler rewrite: two versions, two entries
+        assert panel.simulations == 2
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert len(names) == 2
+        assert all(name.endswith(".pack") for name in names)
+        plain = cache_entry_path(tmp_path, trace_cache_key(
+            workload("compress").build(1), default_config(), (FUClass.IALU,)))
+        assert plain.name in names
+
+    def test_warm_run_hashes_each_version_once_per_task(self, tmp_path,
+                                                        store_calls):
+        kwargs = dict(workloads=[workload("compress"), workload("li")],
+                      scale=1, schemes=("original", "lut-4"),
+                      swap_modes=("none", "hw"),
+                      trace_cache_dir=str(tmp_path))
+        run_figure4(FUClass.IALU, **kwargs)
+        store_calls.update(fingerprint=0, cached_source=0)
+        warm = run_figure4(FUClass.IALU, **kwargs)
+        assert (warm.cache_hits, warm.cache_misses) == (2, 0)
+        # per workload: the statistics task's key, handed through the
+        # fetch to the lookup, and the cells task's key for the
+        # in-memory hand-over — one lookup, no re-hash inside the store
+        assert store_calls == {"fingerprint": 4, "cached_source": 2}
 
     def test_cache_off_by_default(self, monkeypatch):
         panel = run_figure4(FUClass.IALU, workloads=[workload("compress")],

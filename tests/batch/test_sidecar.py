@@ -1,9 +1,10 @@
-"""Packed-sidecar persistence: refusal, degradation, round-trip.
+"""Pack-file persistence: refusal, degradation, round-trip.
 
 Mirrors the trace reader's contract: unknown *future* pack versions
 are refused outright, truncation and corruption raise
 :class:`PackFormatError` (never crash with anything else), and the
-engine layer degrades every such failure to a streaming re-pack.
+trace cache counts every such failure as a miss: it re-records the
+entry once and carries on.
 """
 
 import struct
@@ -11,12 +12,14 @@ import struct
 import pytest
 from hypothesis import given, settings
 
+import repro.streams as streams_module
 from repro.batch import (MAGIC, PACK_VERSION, PackFormatError, batch_drive,
-                         load_sidecar, pack_stream, packed_cached,
-                         sidecar_path, write_sidecar)
+                         load_sidecar, pack_stream, write_sidecar)
 from repro.batch.sidecar import _PREFIX
 from repro.cpu.config import MachineConfig
-from repro.streams import LiveSource, capture
+from repro.cpu.simulator import Simulator
+from repro.streams import (LiveSource, cache_entry_path, cached_or_record,
+                           capture, trace_cache_key)
 from repro.workloads import workload
 from tests.batch.test_pack_roundtrip import (_assert_streams_equal,
                                              random_streams)
@@ -103,54 +106,68 @@ class TestRefusal:
 
 
 class TestEngineDegradation:
-    """A damaged sidecar must never sink an experiment: the engine
-    re-packs from the JSON trace and rewrites the sidecar."""
+    """A damaged entry must never sink an experiment: the trace cache
+    counts it a miss, simulates once, and rewrites the entry."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        runs = []
+
+        class CountingSimulator(Simulator):
+            def run(self):
+                runs.append(self.program.name)
+                return super().run()
+
+        monkeypatch.setattr(streams_module, "Simulator", CountingSimulator)
+        return runs
 
     def _seed_cache(self, cache_dir):
         program = workload("compress").build(1)
         config = MachineConfig()
-        packed, hit = packed_cached(program, config, cache_dir)
-        assert not hit
-        return program, config, packed
+        packed, state = cached_or_record(program, config, cache_dir)
+        assert state == "miss"
+        entry = cache_entry_path(cache_dir,
+                                 trace_cache_key(program, config))
+        assert list(cache_dir.iterdir()) == [entry]
+        return program, config, packed, entry
 
-    def _trace_path(self, cache_dir):
-        traces = list(cache_dir.glob("*.trace.gz"))
-        assert len(traces) == 1
-        return traces[0]
-
-    def test_hit_uses_sidecar(self, tmp_path):
-        program, config, first = self._seed_cache(tmp_path)
-        side = sidecar_path(self._trace_path(tmp_path))
-        assert side.exists()
-        packed, hit = packed_cached(program, config, tmp_path)
-        assert hit
+    def test_hit_loads_the_entry(self, tmp_path, runs):
+        program, config, first, _ = self._seed_cache(tmp_path)
+        packed, state = cached_or_record(program, config, tmp_path)
+        assert state == "hit"
+        assert runs == ["compress"]  # the seeding run only
+        assert packed.result.to_dict() == first.result.to_dict()
         _assert_streams_equal(list(first.iter_groups()),
                               list(packed.iter_groups()))
 
     @pytest.mark.parametrize("damage", ["truncate", "corrupt", "future",
-                                        "delete"])
-    def test_damaged_sidecar_repacks(self, tmp_path, damage):
-        program, config, first = self._seed_cache(tmp_path)
-        side = sidecar_path(self._trace_path(tmp_path))
-        raw = side.read_bytes()
+                                        "stale", "delete"])
+    def test_damaged_entry_is_a_miss(self, tmp_path, runs, damage):
+        program, config, first, entry = self._seed_cache(tmp_path)
+        raw = entry.read_bytes()
         if damage == "truncate":
-            side.write_bytes(raw[:len(raw) // 2])
+            entry.write_bytes(raw[:len(raw) // 2])
         elif damage == "corrupt":
             body = bytearray(raw)
             body[_PREFIX.size + 2] ^= 0xFF
-            side.write_bytes(bytes(body))
+            entry.write_bytes(bytes(body))
         elif damage == "future":
             _, _, header_len = _PREFIX.unpack(raw[:_PREFIX.size])
-            side.write_bytes(
+            entry.write_bytes(
                 _PREFIX.pack(MAGIC, PACK_VERSION + 7, header_len)
                 + raw[_PREFIX.size:])
+        elif damage == "stale":
+            write_sidecar(entry, first, config_fingerprint="other-config")
         else:
-            side.unlink()
-        packed, hit = packed_cached(program, config, tmp_path)
-        assert hit  # the *trace* cache still hits; only the sidecar died
+            entry.unlink()
+        del runs[:]
+        packed, state = cached_or_record(program, config, tmp_path)
+        assert state == "miss"
+        assert runs == ["compress"]  # exactly one re-simulation
         _assert_streams_equal(list(first.iter_groups()),
                               list(packed.iter_groups()))
-        # and the sidecar was healed for the next run
-        healed = load_sidecar(side, expected_config=config.fingerprint())
+        # and the rewritten entry loads for the next run
+        healed = load_sidecar(entry, expected_config=config.fingerprint())
+        assert healed.result.to_dict() == first.result.to_dict()
         _assert_streams_equal(list(first.iter_groups()),
                               list(healed.iter_groups()))

@@ -78,3 +78,28 @@ def ialu_stats():
 @pytest.fixture
 def fpau_stats():
     return paper_statistics(FUClass.FPAU)
+
+
+@pytest.fixture
+def store_calls(monkeypatch):
+    """Count ``Program.fingerprint`` and trace-cache lookups
+    (``repro.streams.cached_source``); zero the counts to start a
+    measured stretch."""
+    import repro.streams as streams_module
+    from repro.isa.program import Program
+
+    calls = {"fingerprint": 0, "cached_source": 0}
+    real_fingerprint = Program.fingerprint
+    real_lookup = streams_module.cached_source
+
+    def fingerprint(self):
+        calls["fingerprint"] += 1
+        return real_fingerprint(self)
+
+    def cached_source(*args, **kwargs):
+        calls["cached_source"] += 1
+        return real_lookup(*args, **kwargs)
+
+    monkeypatch.setattr(Program, "fingerprint", fingerprint)
+    monkeypatch.setattr(streams_module, "cached_source", cached_source)
+    return calls

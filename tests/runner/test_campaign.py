@@ -138,7 +138,27 @@ class TestCampaignTraceCache:
                   for entry in manifest.tasks.values()}
         assert states == {"li@s1/default/r0": "miss",
                           "li@s1/default/r0.2": "hit"}
-        assert list((tmp_path / "trace-cache").glob("*.trace.gz"))
+        entries = list((tmp_path / "trace-cache").iterdir())
+        assert len(entries) == 1 and entries[0].suffix == ".pack"
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_warm_hit_is_one_lookup_and_one_hash(self, tmp_path,
+                                                 store_calls, rate):
+        task = dataclasses.replace(
+            small_spec(workloads=("compress",), fault_rates=(rate,))
+            .tasks()[0], trace_cache_dir=str(tmp_path))
+        cold = execute_task(task)
+        assert cold["trace_cache"] == "miss"
+        store_calls.update(fingerprint=0, cached_source=0)
+        warm = execute_task(task)
+        assert warm["trace_cache"] == "hit"
+        assert store_calls == {"fingerprint": 1, "cached_source": 1}
+        # the entry's run summary stands in for the simulation
+        for field in ("cycles", "retired", "ipc", "policies",
+                      "fault_flips"):
+            assert warm[field] == cold[field]
+        assert warm["telemetry"]["metrics"]["counters"] \
+            == cold["telemetry"]["metrics"]["counters"]
 
     def test_hit_and_miss_cells_report_identical_results(self, tmp_path):
         spec = small_spec(workloads=("compress",), fault_rates=(0.0, 0.0001))

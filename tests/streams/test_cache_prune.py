@@ -1,30 +1,40 @@
-"""LRU trace-cache pruning: size budget, pairing, protection.
+"""LRU trace-cache pruning: size budget, recency, protection.
 
-The pruner must treat a trace and its packed sidecar as one entry,
-evict strictly oldest-first, survive damaged/concurrently-vanishing
-files, and — critically — never evict the entry an in-flight replay
-has protected, even when that leaves the cache over budget.
+An entry is one pack file.  The pruner must evict strictly
+oldest-first, survive damaged/concurrently-vanishing files, and —
+critically — never evict the entry an in-flight replay has protected,
+even when that leaves the cache over budget.  Every cache hit refreshes
+its entry's recency, whichever engine replays it.
 """
 
+import dataclasses
 import os
 import time
-from pathlib import Path
 
-from repro.batch import packed_cached, sidecar_path
+from repro.analysis.energy import run_figure4
 from repro.cpu.config import MachineConfig
-from repro.streams import cached_source, prune_trace_cache
+from repro.isa.instructions import FUClass
+from repro.runner.campaign import CampaignSpec, execute_task
+from repro.streams import (cache_entry_path, cached_or_record, cached_source,
+                           prune_trace_cache)
 from repro.workloads import workload
 
 
 def _make_entry(cache_dir, index, size_kb=64, age=0):
-    """Fabricate a cache entry pair with a controlled size and mtime."""
-    trace = cache_dir / f"prog{index}-cfg-all.trace.gz"
-    trace.write_bytes(b"x" * (size_kb * 1024 // 2))
-    side = trace.with_name(trace.name + ".pack")
-    side.write_bytes(b"y" * (size_kb * 1024 // 2))
+    """Fabricate a cache entry with a controlled size and mtime."""
+    entry = cache_entry_path(cache_dir, f"prog{index}-cfg-all")
+    entry.write_bytes(b"x" * (size_kb * 1024))
     stamp = time.time() - age
-    os.utime(trace, (stamp, stamp))
-    return trace
+    os.utime(entry, (stamp, stamp))
+    return entry
+
+
+def _age(paths, seconds=10_000):
+    """Backdate entries so a later touch is unmistakable."""
+    stamp = time.time() - seconds
+    for path in paths:
+        os.utime(path, (stamp, stamp))
+    return {path: path.stat().st_mtime for path in paths}
 
 
 class TestPruning:
@@ -32,68 +42,27 @@ class TestPruning:
         for i in range(3):
             _make_entry(tmp_path, i, size_kb=16)
         assert prune_trace_cache(tmp_path, limit_mb=1.0) == []
-        assert len(list(tmp_path.glob("*.trace.gz"))) == 3
+        assert len(list(tmp_path.glob("*.pack"))) == 3
 
     def test_oldest_entries_go_first(self, tmp_path):
         # 4 entries x 64 KiB = 256 KiB; a 160 KiB limit forces out the
-        # two oldest, trace and sidecar together
-        traces = [_make_entry(tmp_path, i, age=(4 - i) * 100)
-                  for i in range(4)]
+        # two oldest
+        entries = [_make_entry(tmp_path, i, age=(4 - i) * 100)
+                   for i in range(4)]
         deleted = prune_trace_cache(tmp_path, limit_mb=160 / 1024)
-        gone = {p.name for p in deleted}
-        assert traces[0].name in gone and traces[1].name in gone
-        assert traces[2].exists() and traces[3].exists()
-        for trace in traces[:2]:
-            assert not trace.exists()
-            assert not trace.with_name(trace.name + ".pack").exists()
+        assert deleted == entries[:2]
+        for entry in entries[:2]:
+            assert not entry.exists()
+        assert entries[2].exists() and entries[3].exists()
 
-    def test_orphan_sidecars_pruned_first(self, tmp_path):
-        orphan = tmp_path / "dead-cfg-all.trace.gz.pack"
-        orphan.write_bytes(b"z" * 1024)
-        live = _make_entry(tmp_path, 0)
-        deleted = prune_trace_cache(tmp_path, limit_mb=1.0)
-        assert deleted == [orphan]
-        assert live.exists()
-
-    def test_orphan_bytes_count_toward_the_budget(self, tmp_path):
-        # regression: orphan sizes were never *added* to the running
-        # total, only subtracted on unlink, so the LRU loop believed it
-        # was under budget and stopped while live entries still blew
-        # the limit.  3 x 64 KiB live + 64 KiB orphan against a 128 KiB
-        # limit must evict the orphan AND the oldest live entry.
-        traces = [_make_entry(tmp_path, i, age=(3 - i) * 100)
-                  for i in range(3)]
-        orphan = tmp_path / "dead-cfg-all.trace.gz.pack"
-        orphan.write_bytes(b"z" * (64 * 1024))
-        deleted = prune_trace_cache(tmp_path, limit_mb=128 / 1024)
-        assert orphan in deleted and not orphan.exists()
-        assert not traces[0].exists()  # oldest live entry went too
-        assert not traces[0].with_name(traces[0].name + ".pack").exists()
-        assert traces[1].exists() and traces[2].exists()
-        remaining = sum(p.stat().st_size for p in tmp_path.iterdir())
-        assert remaining <= 128 * 1024
-
-    def test_sidecar_appearing_after_the_scan_is_still_evicted(
-            self, tmp_path, monkeypatch):
-        # the scan must discover sidecars by stat'ing them, not via an
-        # exists() probe: a sidecar written between the glob and the
-        # probe (or an exists() lying under racy NFS semantics) would
-        # otherwise survive its trace and leak.  Simulate the lie by
-        # making exists() deny every .pack file.
-        trace = _make_entry(tmp_path, 0)
-        side = trace.with_name(trace.name + ".pack")
-        real_exists = Path.exists
-
-        def deny_packs(self, **kwargs):
-            if self.name.endswith(".pack"):
-                return False
-            return real_exists(self, **kwargs)
-
-        monkeypatch.setattr(Path, "exists", deny_packs)
-        deleted = prune_trace_cache(tmp_path, limit_mb=0)
-        assert side in deleted
-        assert not real_exists(side)
-        assert not real_exists(trace)
+    def test_other_files_are_not_entries(self, tmp_path):
+        # lock files and stray files are neither counted nor evicted
+        (tmp_path / "prog0-cfg-all.lock").write_bytes(b"l" * 4096)
+        (tmp_path / "notes.txt").write_bytes(b"n" * 4096)
+        entry = _make_entry(tmp_path, 0)
+        assert prune_trace_cache(tmp_path, limit_mb=0) == [entry]
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["notes.txt", "prog0-cfg-all.lock"]
 
     def test_zero_limit_clears_cache(self, tmp_path):
         for i in range(3):
@@ -111,42 +80,67 @@ class TestProtection:
         victim = _make_entry(tmp_path, 1)
         prune_trace_cache(tmp_path, limit_mb=0, protect=[keep])
         assert keep.exists()
-        assert keep.with_name(keep.name + ".pack").exists()
         assert not victim.exists()
 
     def test_deleted_lists_exactly_the_unlinked_paths(self, tmp_path):
-        # the return value is the caller's audit trail: every victim's
-        # trace and sidecar, nothing else, no duplicates — and the
-        # protected pair appears nowhere in it
+        # the return value is the caller's audit trail: every victim,
+        # nothing else, no duplicates — and the protected entry appears
+        # nowhere in it
         keep = _make_entry(tmp_path, 0, age=1000)
         victims = [_make_entry(tmp_path, i, age=i) for i in (1, 2)]
         deleted = prune_trace_cache(tmp_path, limit_mb=0, protect=[keep])
-        expected = {p for v in victims
-                    for p in (v, v.with_name(v.name + ".pack"))}
-        assert set(deleted) == expected
-        assert len(deleted) == len(expected)
-        for path in expected:
+        assert sorted(deleted) == sorted(victims)
+        for path in victims:
             assert not path.exists()
         assert keep.exists()
-        assert keep.with_name(keep.name + ".pack").exists()
 
     def test_pruning_never_evicts_entry_being_replayed(self, tmp_path):
         # the real contract: record a genuine entry, open it for replay,
         # prune to zero with it protected — the replay must still hit
         program = workload("compress").build(1)
         config = MachineConfig()
-        packed, hit = packed_cached(program, config, tmp_path)
-        assert not hit
-        in_use = next(iter(tmp_path.glob("*.trace.gz")))
+        packed, state = cached_or_record(program, config, tmp_path)
+        assert state == "miss"
+        (in_use,) = tmp_path.glob("*.pack")
         for i in range(3):
             _make_entry(tmp_path, i, age=(i + 1) * 100)
         prune_trace_cache(tmp_path, limit_mb=0, protect=[in_use])
         assert in_use.exists()
-        assert sidecar_path(in_use).exists()
         assert list(tmp_path.glob("prog*")) == []
         # and the protected entry still replays, bit-identically
-        again, hit = packed_cached(program, config, tmp_path)
-        assert hit
+        again, state = cached_or_record(program, config, tmp_path)
+        assert state == "hit"
         assert list(again.iter_groups())[-1].cycle == \
             list(packed.iter_groups())[-1].cycle
         assert cached_source(program, config, tmp_path) is not None
+
+
+class TestRecency:
+    """A hit on either engine path must touch its entry, or
+    ``--cache-limit-mb`` evicts the streams those runs replay first."""
+
+    def test_object_engine_figure4_hit_refreshes_recency(self, tmp_path):
+        kwargs = dict(workloads=[workload("compress")], scale=1,
+                      schemes=("original",), swap_modes=("none",),
+                      trace_cache_dir=str(tmp_path), engine="object")
+        run_figure4(FUClass.IALU, **kwargs)
+        aged = _age(list(tmp_path.glob("*.pack")))
+        warm = run_figure4(FUClass.IALU, **kwargs)
+        assert warm.cache_hits == 1
+        for path, before in aged.items():
+            assert path.stat().st_mtime > before
+
+    def test_faulted_campaign_hit_refreshes_recency(self, tmp_path):
+        spec = CampaignSpec(workloads=("compress",),
+                            policies=("original", "lut-4"),
+                            fault_rates=(0.0, 0.2))
+        cold, faulted = [dataclasses.replace(task,
+                                             trace_cache_dir=str(tmp_path))
+                         for task in spec.tasks()]
+        assert execute_task(cold)["trace_cache"] == "miss"
+        aged = _age(list(tmp_path.glob("*.pack")))
+        outcome = execute_task(faulted)
+        assert outcome["trace_cache"] == "hit"
+        assert outcome["fault_flips"] > 0
+        for path, before in aged.items():
+            assert path.stat().st_mtime > before

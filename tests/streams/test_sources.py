@@ -6,18 +6,19 @@ import gzip
 import pytest
 
 import repro.streams as streams_module
+from repro.batch import pack_stream, write_sidecar
 from repro.core.statistics import paper_statistics
 from repro.core.steering import OriginalPolicy, PolicyEvaluator, make_policy
 from repro.cpu.config import MachineConfig
 from repro.cpu.simulator import Simulator, simulate
 from repro.cpu.trace import TraceCollector
-from repro.cpu.tracefile import read_trace_header, write_trace
+from repro.cpu.tracefile import read_trace_header
 from repro.isa.instructions import FUClass
 from repro.runner.faults import FaultInjector
-from repro.streams import (LiveSource, MemorySource, ReplaySource,
-                           SyntheticSource, TelemetryStreamSampler, capture,
-                           cached_source, drive, record, record_cached,
-                           trace_cache_key)
+from repro.streams import (LiveSource, MemorySource, PackedSource,
+                           ReplaySource, SyntheticSource,
+                           TelemetryStreamSampler, capture, cached_source,
+                           drive, record, record_cached, trace_cache_key)
 from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.workloads import workload
 
@@ -219,28 +220,47 @@ class TestTraceCache:
     def test_miss_then_hit(self, sum_program, tmp_path):
         config = MachineConfig()
         assert cached_source(sum_program, config, tmp_path) is None
-        memory = record_cached(sum_program, config, tmp_path)
+        recorded = record_cached(sum_program, config, tmp_path)
         found = cached_source(sum_program, config, tmp_path)
         assert found is not None
-        assert len(list(found.groups())) == len(memory)
+        assert found.n_groups == recorded.n_groups > 0
+        key = trace_cache_key(sum_program, config)
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.pack"]
 
     def test_corrupt_entry_is_a_miss(self, sum_program, tmp_path):
         config = MachineConfig()
         record_cached(sum_program, config, tmp_path)
         key = trace_cache_key(sum_program, config)
-        path = tmp_path / f"{key}.trace.gz"
-        path.write_bytes(b"not a gzip trace")
+        path = tmp_path / f"{key}.pack"
+        path.write_bytes(b"not a pack file")
         assert cached_source(sum_program, config, tmp_path) is None
 
     def test_fingerprint_mismatch_is_a_miss(self, sum_program, tmp_path):
         config = MachineConfig()
         key = trace_cache_key(sum_program, config)
-        path = tmp_path / f"{key}.trace.gz"
-        collector = TraceCollector()
-        simulate(sum_program, listeners=[collector])
-        write_trace(path, collector.groups, name=sum_program.name,
-                    config_fingerprint="feedfacefeedface")
+        memory = capture(LiveSource(sum_program, config))
+        write_sidecar(tmp_path / f"{key}.pack",
+                      pack_stream(memory.groups(), result=memory.result),
+                      config_fingerprint="feedfacefeedface")
         assert cached_source(sum_program, config, tmp_path) is None
+
+    def test_entry_without_run_summary_is_a_miss(self, sum_program,
+                                                 tmp_path):
+        config = MachineConfig()
+        key = trace_cache_key(sum_program, config)
+        memory = capture(LiveSource(sum_program, config))
+        write_sidecar(tmp_path / f"{key}.pack", pack_stream(memory.groups()),
+                      config_fingerprint=config.fingerprint())
+        assert cached_source(sum_program, config, tmp_path) is None
+
+    def test_hit_carries_the_run_summary(self, sum_program, tmp_path):
+        config = MachineConfig()
+        recorded = record_cached(sum_program, config, tmp_path)
+        found = cached_source(sum_program, config, tmp_path)
+        assert found.result.to_dict() == recorded.result.to_dict()
+        assert found.result.telemetry_counters() \
+            == recorded.result.telemetry_counters()
+        assert found.result.cycles > 0
 
     def test_hit_replays_identical_totals(self, sum_program, tmp_path):
         config = MachineConfig()
@@ -248,8 +268,10 @@ class TestTraceCache:
         record_cached(sum_program, config, tmp_path,
                       extra_consumers=[live])
         replayed = _evaluator()
-        drive(cached_source(sum_program, config, tmp_path), [replayed])
+        found = cached_source(sum_program, config, tmp_path)
+        result = drive(PackedSource(found), [replayed])
         assert replayed.totals() == live.totals()
+        assert result is found.result
 
 
 class TestTelemetryStreamSampler:

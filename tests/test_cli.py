@@ -106,6 +106,24 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "--cache-limit-mb needs --cache-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("limit", ["nan", "inf", "-1"])
+    def test_figure4_cache_limit_checked_at_parse_time(self, capsys,
+                                                       tmp_path, limit):
+        cache = tmp_path / "traces"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure4", "ialu", "--scale", "1", "--workloads",
+                  "compress", "--cache-dir", str(cache),
+                  "--cache-limit-mb", limit])
+        assert excinfo.value.code == 2
+        assert "must be a finite size of at least 0" \
+            in capsys.readouterr().err
+        assert not cache.exists()  # nothing ran
+
+    def test_figure4_zero_cache_limit_is_valid(self):
+        args = build_parser().parse_args(
+            ["figure4", "ialu", "--cache-dir", "d", "--cache-limit-mb", "0"])
+        assert args.cache_limit_mb == 0.0
+
     def test_figure4_policies_override(self, capsys):
         code, output = run_cli(capsys, "figure4", "ialu", "--synthetic",
                                "--cycles", "2000",
