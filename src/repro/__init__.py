@@ -45,8 +45,7 @@ from .core import (FUPowerModel, HardwareSwapper, LUTPolicy,
 from .cpu import (MachineConfig, Simulator, TraceCollector, default_config,
                   run_program, simulate)
 from .isa import Program, assemble
-from .runner import (CampaignRunner, CampaignSpec, FaultInjector,
-                     fault_sweep, run_campaign)
+from .runner import CampaignSpec, FaultInjector, fault_sweep, run_campaign
 from .streams import (IssueSource, LiveSource, MemorySource, ReplaySource,
                       SyntheticSource, capture, drive, record)
 from .telemetry import (MetricsRegistry, PipelineTracer, TelemetryConfig,
@@ -69,8 +68,7 @@ __all__ = [
     "telemetry", "workloads",
     "IssueSource", "LiveSource", "MemorySource", "ReplaySource",
     "SyntheticSource", "capture", "drive", "record",
-    "CampaignRunner", "CampaignSpec", "FaultInjector", "fault_sweep",
-    "run_campaign",
+    "CampaignSpec", "FaultInjector", "fault_sweep", "run_campaign",
     "MetricsRegistry", "PipelineTracer", "TelemetryConfig",
     "TelemetrySession", "validate_chrome_trace",
     "chip_level_estimate", "run_figure4", "run_multiplier_experiment",

@@ -26,13 +26,13 @@ utilities:
 ``trace-export``      export a pipeline trace as Chrome trace-event JSON
 ====================  ====================================================
 
-Robustness contract: ``KeyboardInterrupt`` exits with code 130 after
-the campaign manifest has been flushed (the runner journals every task
-atomically as it completes; a distributed worker additionally finalizes
-its partially written shard manifest and releases its lease), and every
-JSON/report file any command writes goes through the shared atomic
-write-temp-then-rename helper — no stale ``.tmp`` file survives an
-interrupt at any instant, including mid-write.
+Robustness contract: ``KeyboardInterrupt`` (or SIGTERM to a campaign)
+exits with code 130 after the campaign's journals have been flushed (a
+worker journals every task atomically as it completes, then finalizes
+each partially written shard manifest and releases its lease), and
+every JSON/report file any command writes goes through the shared
+atomic write-temp-then-rename helper — no stale ``.tmp`` file survives
+an interrupt at any instant, including mid-write.
 """
 
 from __future__ import annotations
@@ -429,43 +429,6 @@ def _campaign_spec(args) -> CampaignSpec:
                         seed=args.seed)
 
 
-def _campaign_dist(args) -> int:
-    """Distributed modes: local worker fleet or coordinator-only."""
-    spec = _campaign_spec(args)
-    result = run_distributed(
-        spec, args.dir,
-        workers=0 if args.coordinator else args.workers,
-        shard_size=args.shard_size,
-        lease_ttl=args.lease_ttl,
-        max_shard_attempts=args.max_shard_attempts,
-        executor="inline" if args.inline else "process",
-        max_workers=args.max_workers,
-        task_timeout=args.timeout,
-        retries=args.retries,
-        backoff=args.backoff,
-        trace_cache=not args.no_trace_cache,
-        resume=args.resume)
-    pending = [t.task_id for t in spec.tasks()
-               if t.task_id not in result.tasks]
-    report = render_campaign(spec.policies, result.tasks, pending)
-    out_dir = Path(args.dir)
-    atomic_write_text(out_dir / "report.txt", report + "\n")
-    atomic_write_json(out_dir / "results.json",
-                      {"spec": spec.to_dict(), "tasks": result.tasks})
-    print(report)
-    print(f"campaign: {result.done} done, {result.failed} failed,"
-          f" {result.shards_done}/{result.total_shards} shards"
-          f" ({result.shards_quarantined} quarantined)"
-          f" (manifest: {result.manifest_path})")
-    steals = result.counters.get("dist.shards.stolen", 0)
-    requeues = result.counters.get("dist.shards.requeued", 0)
-    if steals or requeues:
-        print(f"fabric: {steals} shards stolen, {requeues} requeued")
-    if not result.complete:
-        print("resume with: python -m repro campaign ... --resume")
-    return 1 if result.failed else 0
-
-
 def cmd_campaign(args) -> int:
     try:
         if args.join:
@@ -478,20 +441,26 @@ def cmd_campaign(args) -> int:
                   f" {outcome.tasks_done} tasks done,"
                   f" {outcome.tasks_failed} failed")
             return 1 if outcome.tasks_failed else 0
-        if args.coordinator or args.workers:
-            return _campaign_dist(args)
         spec = _campaign_spec(args)
-        result = run_campaign(
-            spec, args.dir,
+        options = dict(
+            shard_size=args.shard_size,
+            lease_ttl=args.lease_ttl,
+            max_shard_attempts=args.max_shard_attempts,
+            executor="inline" if args.inline else "process",
             max_workers=args.max_workers,
             task_timeout=args.timeout,
             retries=args.retries,
             backoff=args.backoff,
-            executor="inline" if args.inline else "process",
+            trace_cache=not args.no_trace_cache,
             resume=args.resume,
-            retry_failed=args.retry_failed,
-            limit=args.limit,
-            trace_cache=not args.no_trace_cache)
+            retry_failed=args.retry_failed)
+        if args.coordinator or args.workers:
+            result = run_distributed(
+                spec, args.dir,
+                workers=0 if args.coordinator else args.workers, **options)
+        else:
+            result = run_campaign(spec, args.dir, limit=args.limit,
+                                  **options)
     except CampaignError as exc:
         print(f"campaign error: {exc}", file=sys.stderr)
         return 2
@@ -505,9 +474,15 @@ def cmd_campaign(args) -> int:
     print(report)
     print(f"campaign: {result.done} done, {result.failed} failed,"
           f" {result.skipped} already journaled,"
-          f" {result.remaining} remaining"
+          f" {result.remaining} remaining,"
+          f" {result.shards_done}/{result.total_shards} shards"
+          f" ({result.shards_quarantined} quarantined)"
           f" (manifest: {result.manifest_path})")
-    if result.remaining:
+    steals = result.counters.get("dist.shards.stolen", 0)
+    requeues = result.counters.get("dist.shards.requeued", 0)
+    if steals or requeues:
+        print(f"fabric: {steals} shards stolen, {requeues} requeued")
+    if not result.complete:
         print("resume with: python -m repro campaign ... --resume")
     return 1 if result.failed else 0
 
@@ -780,7 +755,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="watchdog_cycles applied to every config")
     p.add_argument("--max-cycles", type=int, default=None,
                    help="max_cycles applied to every config")
-    p.add_argument("--max-workers", type=int, default=2)
+    p.add_argument("--max-workers", type=int, default=2,
+                   help="tasks each worker keeps in flight, each in its"
+                        " own process (one at a time with --inline)")
     p.add_argument("--timeout", type=float, default=600.0,
                    help="per-task timeout in seconds")
     p.add_argument("--retries", type=int, default=1,
@@ -788,9 +765,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backoff", type=float, default=0.5,
                    help="base backoff delay in seconds")
     p.add_argument("--limit", type=int, default=0,
-                   help="stop after N newly finished tasks (0 = no limit)")
+                   help="stop after N newly finished tasks (0 = no limit;"
+                        " single-host runs only)")
     p.add_argument("--resume", action="store_true",
-                   help="continue an existing manifest")
+                   help="continue an existing campaign in --dir")
     p.add_argument("--retry-failed", action="store_true",
                    help="on resume, re-run tasks recorded as failed")
     p.add_argument("--inline", action="store_true",
@@ -802,9 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
         "distributed", "coordinator/worker fabric over a shared --dir"
         " (leases, work stealing, host-loss recovery; docs/runner.md)")
     dist.add_argument("--workers", type=int, default=0,
-                      help="publish the campaign and drive it with N local"
-                           " worker processes (0 = classic single-host"
-                           " runner)")
+                      help="publish the campaign and drive it with N"
+                           " forked local worker processes (0 = one"
+                           " worker inside this process)")
     dist.add_argument("--coordinator", action="store_true",
                       help="publish the shard queue and merge results, but"
                            " run no local workers (fleet joins via --join)")
@@ -815,9 +793,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="stable worker name for --join (default:"
                            " host-pid)")
     dist.add_argument("--shard-size", type=int, default=1,
-                      help="tasks per lease-based work unit")
+                      help="tasks per lease-based work unit (a resume"
+                           " must use the published size)")
     dist.add_argument("--lease-ttl", type=float, default=15.0,
-                      help="seconds before an un-renewed lease is stolen")
+                      help="seconds before an un-renewed lease is stolen"
+                           " (a lease whose process died on this host, in"
+                           " this PID namespace, is taken at once)")
     dist.add_argument("--max-shard-attempts", type=int, default=3,
                       help="lease attempts before a shard is quarantined")
     p.set_defaults(func=cmd_campaign)
@@ -923,11 +904,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "cache_limit_mb", None) is not None \
             and not args.cache_dir:
         parser.error(f"{args.command}: --cache-limit-mb needs --cache-dir")
+    if args.command == "campaign" and args.limit \
+            and (args.workers or args.coordinator or args.join):
+        parser.error("campaign: --limit applies to single-host runs only,"
+                     " not --workers, --coordinator or --join")
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        # the campaign runner flushes its manifest before re-raising,
-        # so ^C always leaves a resumable journal; 130 = 128 + SIGINT
+        # a campaign worker flushes its journals and releases its
+        # leases before re-raising (on SIGTERM too), so an interrupt
+        # always leaves a resumable campaign; 130 = 128 + SIGINT
         print("interrupted", file=sys.stderr)
         return 130
     except BrokenPipeError:

@@ -1,52 +1,26 @@
-"""Fault-tolerant experiment-campaign runner.
+"""Campaign grids and the execution of one grid cell.
 
-Expands a declarative grid of (workload × machine config × fault rate)
-tasks — each task scores every requested steering policy in one
-simulation pass — and executes it across a pool of worker *processes*
-with:
-
-* **crash isolation** — a worker segfault, OOM kill, or exception
-  marks that one task failed (with the captured traceback or exit
-  code), never the campaign;
-* **per-task timeouts** — an overdue worker is SIGKILLed and the task
-  retried;
-* **bounded retries with full-jitter exponential backoff** — transient
-  failures get ``retries`` extra attempts, each delayed a uniformly
-  random slice of the ``backoff * 2**(n-1)`` ceiling so fleets of
-  workers never retry in lockstep;
-* **journaled progress** — every outcome is recorded in a JSONL
-  manifest rewritten atomically (write-temp-then-rename), so a
-  campaign killed at any instant resumes from the last completed task;
-* **graceful degradation** — the final report renders failed cells as
-  explicit gaps carrying the failure reason instead of aborting.
+A campaign expands a declarative grid of (workload × machine config ×
+fault rate) tasks; each task scores every requested steering policy in
+one simulation pass.  This module holds the grid (:class:`CampaignSpec`,
+:class:`TaskSpec`, :func:`task_fingerprint`) and the work of one cell
+(:func:`execute_task`).  Scheduling lives in :mod:`repro.runner.dist`:
+a single-host run (:func:`~repro.runner.dist.run_campaign`) is the
+distributed fabric with one in-process worker, so every campaign is
+sharded, leased, journaled, retried and resumed the same way.
 
 The unit of work is deliberately one whole simulation: simulating is
 the expensive part, and all policies share the pass via
 :class:`~repro.core.steering.SharedEvaluationCoordinator`, exactly as
 the interactive experiment drivers do.
-
-Chaos hooks (for the failure-path tests and CI smoke): workers honour
-``REPRO_CAMPAIGN_TEST_DELAY`` (sleep that many seconds before
-simulating), ``REPRO_CAMPAIGN_TEST_CRASH`` and
-``REPRO_CAMPAIGN_TEST_HANG`` (task-id substrings; matching workers
-SIGKILL themselves / sleep forever).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
-
-from .manifest import CampaignManifest, ManifestError
-from .pool import (CRASH_ENV, DELAY_ENV, HANG_ENV, PoolItem, ProcessTaskPool,
-                   error_payload as _error_payload, full_jitter_delay)
-
-PathLike = Union[str, Path]
+from typing import Any, Dict, List, Optional, Tuple
 
 # MachineConfig fields a campaign grid may override per config cell;
 # everything here is a scalar, so specs stay trivially JSON-able
@@ -189,9 +163,6 @@ def task_fingerprint(task: TaskSpec) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-# ----- the worker side --------------------------------------------------------
-
-
 def execute_task(task: TaskSpec) -> Dict[str, Any]:
     """Run one task in the current process and return its result dict.
 
@@ -294,215 +265,3 @@ def execute_task(task: TaskSpec) -> Dict[str, Any]:
         "trace_cache": cache_state,
         "telemetry": session.summary(),
     }
-
-
-# ----- the scheduler side -----------------------------------------------------
-
-
-@dataclass
-class _PendingTask:
-    task: TaskSpec
-    attempt: int = 1
-    not_before: float = 0.0
-
-
-@dataclass
-class CampaignResult:
-    """Outcome of one ``CampaignRunner.run`` invocation."""
-
-    total_tasks: int
-    done: int = 0
-    failed: int = 0
-    skipped: int = 0       # satisfied by a previous run's manifest
-    remaining: int = 0     # left pending (hit --limit or interrupt)
-    interrupted: bool = False
-    manifest_path: Optional[Path] = None
-    tasks: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-    @property
-    def complete(self) -> bool:
-        return self.remaining == 0 and not self.interrupted
-
-
-class CampaignRunner:
-    """Executes a :class:`CampaignSpec` grid with fault tolerance.
-
-    ``executor`` is ``"process"`` (default: full isolation, timeouts,
-    crash containment) or ``"inline"`` (tasks run in this process —
-    fast and deterministic for tests/sweeps, but a hang or crash is
-    *not* contained).
-    """
-
-    def __init__(self, spec: CampaignSpec, out_dir: PathLike,
-                 max_workers: int = 2,
-                 task_timeout: float = 600.0,
-                 retries: int = 1,
-                 backoff: float = 0.5,
-                 executor: str = "process",
-                 resume: bool = False,
-                 retry_failed: bool = False,
-                 limit: int = 0,
-                 trace_cache: bool = True,
-                 jitter: bool = True):
-        if executor not in ("process", "inline"):
-            raise CampaignError("executor must be 'process' or 'inline'")
-        self.spec = spec
-        self.out_dir = Path(out_dir)
-        # content-addressed recorded issue streams under out_dir; cells
-        # sharing (workload, scale, machine config) simulate once and
-        # replay thereafter.  Off: every task simulates, as before.
-        self.trace_cache = trace_cache
-        self.trace_cache_dir = self.out_dir / "trace-cache"
-        self.max_workers = max(1, max_workers)
-        self.task_timeout = task_timeout
-        self.retries = max(0, retries)
-        self.backoff = backoff
-        self.jitter = jitter
-        self.executor = executor
-        self.resume = resume
-        self.retry_failed = retry_failed
-        self.limit = max(0, limit)
-        self.manifest_path = self.out_dir / "manifest.jsonl"
-        self.manifest: Optional[CampaignManifest] = None
-
-    # ----- manifest lifecycle --------------------------------------------
-
-    def _open_manifest(self) -> CampaignManifest:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        fingerprint = self.spec.fingerprint()
-        if self.manifest_path.exists():
-            if not self.resume:
-                raise CampaignError(
-                    f"{self.manifest_path} already exists; pass"
-                    " resume=True (CLI: --resume) to continue it, or"
-                    " choose a fresh --dir")
-            manifest = CampaignManifest.load(self.manifest_path)
-            if manifest.fingerprint != fingerprint:
-                raise CampaignError(
-                    f"{self.manifest_path} was written by a different"
-                    f" campaign grid (fingerprint {manifest.fingerprint}"
-                    f" != {fingerprint}); refusing to mix results")
-            return manifest
-        if self.resume:
-            # resuming onto an empty directory is just a fresh start
-            pass
-        return CampaignManifest.create(self.manifest_path, fingerprint,
-                                       self.spec.to_dict())
-
-    # ----- main loop ------------------------------------------------------
-
-    def run(self) -> CampaignResult:
-        """Execute (or resume) the grid; returns the campaign outcome.
-
-        On ``KeyboardInterrupt`` the manifest is flushed, in-flight
-        workers are killed, and the interrupt is re-raised for the CLI
-        to translate into exit code 130.
-        """
-        manifest = self.manifest = self._open_manifest()
-        all_tasks = self.spec.tasks()
-        if self.trace_cache:
-            cache_dir = str(self.trace_cache_dir)
-            all_tasks = [dataclasses.replace(task,
-                                             trace_cache_dir=cache_dir)
-                         for task in all_tasks]
-        result = CampaignResult(total_tasks=len(all_tasks),
-                                manifest_path=self.manifest_path)
-
-        pending: List[_PendingTask] = []
-        for task in all_tasks:
-            status = manifest.status_of(task.task_id)
-            if status == "done":
-                result.skipped += 1
-            elif status == "failed" and not self.retry_failed:
-                result.skipped += 1
-            else:
-                if status == "failed":
-                    manifest.forget(task.task_id)
-                pending.append(_PendingTask(task))
-
-        try:
-            if self.executor == "inline":
-                self._run_inline(pending, manifest, result)
-            else:
-                self._run_pool(pending, manifest, result)
-        except KeyboardInterrupt:
-            result.interrupted = True
-            manifest.flush()
-            raise
-        finally:
-            result.tasks = dict(manifest.tasks)
-            result.remaining = sum(
-                1 for task in all_tasks
-                if manifest.status_of(task.task_id) is None)
-        return result
-
-    # ----- inline executor ------------------------------------------------
-
-    def _run_inline(self, pending: List[_PendingTask],
-                    manifest: CampaignManifest,
-                    result: CampaignResult) -> None:
-        finished = 0
-        queue = list(pending)
-        while queue:
-            if self.limit and finished >= self.limit:
-                return
-            item = queue.pop(0)
-            wait = item.not_before - time.monotonic()
-            if wait > 0:
-                # serial executor: sleeping out the backoff is exact
-                time.sleep(wait)
-            started = time.monotonic()
-            try:
-                outcome = execute_task(item.task)
-            except KeyboardInterrupt:
-                raise
-            except BaseException as exc:
-                elapsed = time.monotonic() - started
-                if item.attempt <= self.retries:
-                    delay = full_jitter_delay(self.backoff, item.attempt,
-                                              jitter=self.jitter)
-                    item.attempt += 1
-                    item.not_before = time.monotonic() + delay
-                    queue.append(item)
-                    continue
-                manifest.record_failed(item.task.task_id, item.attempt,
-                                       elapsed, _error_payload(exc))
-                result.failed += 1
-                finished += 1
-                continue
-            manifest.record_done(item.task.task_id, item.attempt,
-                                 time.monotonic() - started, outcome)
-            result.done += 1
-            finished += 1
-
-    # ----- process-pool executor -----------------------------------------
-
-    def _run_pool(self, pending: List[_PendingTask],
-                  manifest: CampaignManifest,
-                  result: CampaignResult) -> None:
-        pool = ProcessTaskPool(execute_task,
-                               max_workers=self.max_workers,
-                               task_timeout=self.task_timeout,
-                               retries=self.retries,
-                               backoff=self.backoff,
-                               jitter=self.jitter)
-        items = [PoolItem(key=p.task.task_id, payload=p.task,
-                          attempt=p.attempt, not_before=p.not_before)
-                 for p in pending]
-
-        def on_done(item: PoolItem, elapsed: float, payload: Any) -> None:
-            manifest.record_done(item.key, item.attempt, elapsed, payload)
-            result.done += 1
-
-        def on_failed(item: PoolItem, elapsed: float,
-                      error: Dict[str, Any]) -> None:
-            manifest.record_failed(item.key, item.attempt, elapsed, error)
-            result.failed += 1
-
-        pool.run(items, on_done, on_failed, limit=self.limit)
-
-
-def run_campaign(spec: CampaignSpec, out_dir: PathLike,
-                 **runner_kwargs) -> CampaignResult:
-    """Convenience wrapper: build a runner and execute the grid."""
-    return CampaignRunner(spec, out_dir, **runner_kwargs).run()

@@ -1,35 +1,40 @@
-"""Distributed campaign fabric: coordinator/worker protocol over a
-shared directory, with leases, work stealing, and host-loss recovery.
+"""Campaign fabric: coordinator/worker protocol over a shared directory,
+with leases, work stealing, and host-loss recovery.
 
-One host's :class:`~repro.runner.campaign.CampaignRunner` fans a grid
-across local cores; a million-cell sweep needs many hosts.  This module
-adds the smallest coordination fabric that makes *losing an entire
-worker host mid-shard* a recoverable, tested event:
+Every campaign runs here.  A single-host ``repro campaign``
+(:func:`run_campaign`) publishes the grid in one-task shards and runs
+one :class:`DistWorker` in the calling process; ``--workers N`` forks N
+local workers, and ``--coordinator``/``--join`` spread them across
+hosts.  Losing a worker — or an entire host — mid-shard is a
+recoverable, tested event:
 
 * the **coordinator** (:class:`DistCoordinator`) shards the expanded
   grid into fixed-size work units published as immutable JSON files on
   a shared directory, then merges per-shard JSONL manifests into one
   resumable campaign manifest (fingerprint-validated, byte-stable merge
-  order — see :func:`~repro.runner.manifest.merge_task_records`);
-* **workers** (:class:`DistWorker`) claim shards under time-limited
-  leases (`O_CREAT|O_EXCL`, so exactly one claim wins), renew them from
-  a heartbeat thread, execute the shard's tasks through the existing
-  :class:`~repro.runner.pool.ProcessTaskPool` (or inline), and append
-  every outcome to their own shard manifest via the atomic
-  write-temp-then-rename layer — concurrent workers never observe torn
-  state;
-* an **expired lease is stolen**: any live worker may reclaim it under
-  the next lease epoch and re-run the shard.  Requeue delays use
-  full-jitter exponential backoff, and a shard that burns
-  ``max_shard_attempts`` leases is quarantined — its unfinished cells
-  surface as explicit ``ShardQuarantined`` failures instead of hanging
-  the campaign;
+  order — see :class:`~repro.runner.manifest.RecordMerge`);
+* **workers** (:class:`DistWorker`) hand every task of the unfinished
+  shards to one :class:`~repro.runner.pool.ProcessTaskPool` run, which
+  keeps ``max_workers`` tasks in flight (or runs them inline).  Just
+  before a task launches, the worker claims its shard under a
+  time-limited lease (`O_CREAT|O_EXCL`, so exactly one claim wins),
+  renews it from a heartbeat thread, and appends every outcome to that
+  lease's own shard manifest via the atomic write-temp-then-rename
+  layer — concurrent workers never observe torn state;
+* a lease that expires, or whose process has died in this PID
+  namespace, is **stolen**: any live worker may reclaim it under the
+  next lease epoch and re-run the shard's unfinished cells.  Requeue
+  delays use full-jitter exponential backoff, and a shard whose owner
+  died on ``max_shard_attempts`` leases is quarantined — its unfinished
+  cells surface as explicit ``ShardQuarantined`` failures instead of
+  hanging the campaign.  A lease handed back on ``^C``, SIGTERM or
+  ``--limit`` marks its journal released and never counts;
 * results are **at-least-once, exactly-once-merged**: a stolen shard
   whose original owner limps to completion produces duplicate records
   in *separate* files; the merge dedupes them last-write-wins keyed on
   each cell's content fingerprint.  Simulation is deterministic, so
-  duplicates are bit-identical and the merged manifest matches a
-  single-host run byte for byte (the chaos tests ``cmp`` this).
+  duplicates are bit-identical and the merged manifest is the same
+  bytes for any worker count (the chaos tests ``cmp`` this).
 
 The queue is a directory tree because the shared-filesystem case (NFS,
 Lustre, a cloud file share) is the deployment the ROADMAP names first;
@@ -42,7 +47,8 @@ Layout under the campaign directory::
 
     campaign.json            coordinator-published spec + options (last)
     queue/shard-0000.json    immutable shard descriptors
-    leases/shard-0000.lease  current claim: worker, nonce, epoch, deadline
+    leases/shard-0000.lease  current claim: worker, host, pid, pid
+                             namespace, nonce, epoch, deadline
     results/shard-0000.e1.<nonce>.jsonl   per-(shard, lease) manifests
     acks/shard-0000.json     terminal state: done or quarantined
     workers/<id>.json        per-worker telemetry (gauges + counters)
@@ -54,6 +60,7 @@ Layout under the campaign directory::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -63,33 +70,36 @@ import socket
 import threading
 import time
 import uuid
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from .atomic import atomic_write_json
 from .campaign import (CampaignError, CampaignSpec, TaskSpec, execute_task,
                        task_fingerprint)
-from .manifest import (ShardManifest, merge_task_records, read_shard_records,
-                       write_merged_manifest)
-from .pool import (PoolItem, ProcessTaskPool, error_payload,
-                   full_jitter_delay)
+from .manifest import (RecordMerge, ShardManifest, read_journal,
+                       read_shard_records, write_merged_manifest)
+from .pool import PoolItem, ProcessTaskPool, full_jitter_delay
 from ..telemetry import MetricsRegistry
 
 PathLike = Union[str, Path]
 
 DIST_VERSION = 1
 
-#: chaos hook (tests/CI only): a worker SIGKILLs itself immediately
-#: before executing the task whose id exactly equals this value —
-#: deterministic "host loss mid-shard" without timing races.  By
-#: default the kill fires only while the shard is on its first lease
-#: epoch, so the steal/requeue path then completes it; a suffix
-#: ``#<N>`` (``#`` because task ids contain ``@``) keeps killing
+#: chaos hook (tests/CI only): a worker SIGKILLs itself after claiming
+#: the shard of the task whose id exactly equals this value, and before
+#: the task runs — deterministic "host loss mid-shard" without timing
+#: races.  By default the kill fires only while the shard is on its
+#: first lease epoch, so the steal/requeue path then completes it; a
+#: suffix ``#<N>`` (``#`` because task ids contain ``@``) keeps killing
 #: through epoch N (drive past ``max_shard_attempts`` to exercise
-#: quarantine).  Inline executor only; pool-child crashes are
-#: REPRO_CAMPAIGN_TEST_CRASH's job.
+#: quarantine).  Pool-child crashes are REPRO_CAMPAIGN_TEST_CRASH's job.
 KILL_ENV = "REPRO_DIST_TEST_KILL"
+
+#: journal footers: a journal with neither ended with its owner's death
+FOOTER_EVENTS = ("shard-done", "shard-released")
 
 
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
@@ -152,6 +162,18 @@ def shard_tasks(spec: CampaignSpec, shard_size: int) -> List[List[TaskSpec]]:
 # ----- leases -----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _pid_namespace() -> Optional[str]:
+    """This kernel boot and PID namespace (None where ``/proc`` cannot
+    tell): a pid names the same process only to a reader in the same
+    namespace of the same boot."""
+    try:
+        boot = Path("/proc/sys/kernel/random/boot_id").read_text().strip()
+        return f"{boot}/{os.stat('/proc/self/ns/pid').st_ino}"
+    except OSError:
+        return None
+
+
 def try_claim_lease(path: Path, shard: str, worker: str, nonce: str,
                     epoch: int, ttl: float) -> bool:
     """Claim a shard by creating its lease file with ``O_EXCL``.
@@ -160,16 +182,18 @@ def try_claim_lease(path: Path, shard: str, worker: str, nonce: str,
     ``FileExistsError`` and moves on.  The payload is written and
     fsynced through the held descriptor, so a reader never sees an
     empty lease from a claimant that died mid-write (a torn payload
-    parses as None and is treated as expired).
+    parses as None and is treated as expired).  It records the
+    claimant's host, pid and PID namespace, so a peer in the same
+    namespace can tell a dead owner without waiting out the ttl.
     """
     payload = {"shard": shard, "worker": worker, "nonce": nonce,
-               "epoch": epoch, "deadline": time.time() + ttl}
+               "epoch": epoch, "deadline": time.time() + ttl,
+               "host": socket.gethostname(), "pid": os.getpid(),
+               "pid_namespace": _pid_namespace()}
     data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     try:
         fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-    except FileExistsError:
-        return False
-    except OSError:
+    except OSError:  # FileExistsError: another claimant won
         return False
     try:
         os.write(fd, data)
@@ -183,16 +207,32 @@ def read_lease(path: Path) -> Optional[Dict[str, Any]]:
     return _read_json(path)
 
 
-def lease_expired(lease: Optional[Dict[str, Any]],
-                  now: Optional[float] = None) -> bool:
-    """A missing, torn, or past-deadline lease is claimable."""
+def lease_expired(lease: Optional[Dict[str, Any]]) -> bool:
+    """A missing, torn, or past-deadline lease is claimable, and so is
+    one whose process no longer exists (a killed single-host run
+    resumes at once instead of waiting out the ttl).  The pid is only
+    trusted from a lease written on this host in this PID namespace:
+    containers and hosts can share a hostname, not a namespace."""
     if lease is None:
         return True
     try:
-        return float(lease.get("deadline", 0.0)) <= \
-            (time.time() if now is None else now)
+        deadline = float(lease.get("deadline", 0.0))
     except (TypeError, ValueError):
         return True
+    if deadline <= time.time():
+        return True
+    pid, namespace = lease.get("pid"), _pid_namespace()
+    if namespace is None or lease.get("pid_namespace") != namespace \
+            or lease.get("host") != socket.gethostname() \
+            or not isinstance(pid, int):
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        pass  # it exists, under another user
+    return False
 
 
 def renew_lease(path: Path, nonce: str, ttl: float) -> bool:
@@ -266,6 +306,20 @@ class WorkerResult:
     tasks_failed: int = 0
 
 
+@dataclass
+class _HeldShard:
+    """A shard this worker holds the lease on."""
+
+    shard_id: str
+    epoch: int
+    nonce: str
+    manifest: ShardManifest
+    keeper: "_LeaseKeeper"
+    left: int               # tasks neither finished nor skipped yet
+    done_cells: Set[str]    # journaled done under an earlier lease
+    closed: bool = False
+
+
 class DistWorker:
     """Claims shards under leases and executes them until the campaign
     is complete (every shard acked done or quarantined).
@@ -274,17 +328,25 @@ class DistWorker:
     campaign directory, starting at any time — including *restarting*
     after a crash, which is exactly the ``--resume`` story: a restarted
     worker simply claims whatever is still unclaimed or expired.
+
+    ``limit`` > 0 stops claiming after that many finished tasks;
+    ``on_record(record)`` sees each task record as soon as it is
+    journaled (a single-host run folds it into ``manifest.jsonl``).
     """
 
     def __init__(self, root: PathLike, worker_id: Optional[str] = None,
                  poll_interval: Optional[float] = None,
-                 join_timeout: float = 30.0):
+                 join_timeout: float = 30.0, limit: int = 0,
+                 on_record: Optional[Callable[[Dict[str, Any]],
+                                              None]] = None):
         self.layout = CampaignLayout(root)
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.join_timeout = join_timeout
+        self.limit = max(0, limit)
+        self.on_record = on_record
         self._poll_override = poll_interval
         self.result = WorkerResult(worker=self.worker_id)
-        self._next_try: Dict[str, float] = {}  # shard -> monotonic not-before
+        self._finished = 0
 
     # ----- campaign discovery ---------------------------------------------
 
@@ -309,6 +371,18 @@ class DistWorker:
     # ----- main loop ------------------------------------------------------
 
     def run(self) -> WorkerResult:
+        """Work until the campaign is complete or ``limit`` is reached.
+        SIGTERM (a pre-empted job) interrupts it like ``^C``, so held
+        leases are handed back; only the main thread receives signals."""
+        if threading.current_thread() is not threading.main_thread():
+            return self._run()
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            return self._run()
+        finally:
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
+
+    def _run(self) -> WorkerResult:
         campaign = self._load_campaign()
         spec = CampaignSpec.from_dict(campaign["spec"])
         fingerprint = campaign["fingerprint"]
@@ -329,6 +403,8 @@ class DistWorker:
         trace_cache_dir = options.get("trace_cache_dir")
         if options.get("trace_cache", True) and trace_cache_dir is None:
             trace_cache_dir = str(self.layout.default_trace_cache)
+        kill_target, _, upto = os.environ.get(KILL_ENV, "").partition("#")
+        self._kill = (kill_target, int(upto) if upto else 1)
 
         shards = shard_tasks(spec, int(campaign.get("shard_size", 1)))
         if len(shards) != int(campaign.get("shards", len(shards))):
@@ -344,216 +420,218 @@ class DistWorker:
 
         self._publish_status()
         try:
-            while True:
-                remaining = [sid for sid in plan
-                             if _read_json(self.layout.ack_path(sid)) is None]
+            while not (self.limit and self._finished >= self.limit):
+                remaining = {sid: tasks for sid, tasks in plan.items()
+                             if _read_json(self.layout.ack_path(sid)) is None}
                 if not remaining:
-                    return self.result
-                claimed_any = False
-                for sid in remaining:
-                    if self._try_shard(sid, plan[sid], fingerprint):
-                        claimed_any = True
-                if not claimed_any:
-                    # peers hold every runnable lease (or backoff is
-                    # pending); jitter the poll so a worker fleet does
-                    # not scan the directory in lockstep
+                    break
+                if not self._run_pass(remaining, fingerprint):
+                    # peers hold every runnable lease; jitter the poll so
+                    # a worker fleet does not scan the directory in
+                    # lockstep
                     time.sleep(random.uniform(0.5, 1.0)
                                * self.poll_interval)
+            return self.result
         finally:
             self._publish_status()
 
+    # ----- one pass over the unfinished shards ----------------------------
+
+    def _run_pass(self, remaining: Dict[str, Sequence[TaskSpec]],
+                  fingerprint: str) -> bool:
+        """Hand every task of the claimable shards to one pool run.
+
+        Shards are claimed lazily, just before their first task
+        launches, so the pool keeps ``max_workers`` shards in flight
+        without hoarding leases.  Returns False when nothing was claimed
+        or quarantined.
+        """
+        items: List[PoolItem] = []
+        shard_of: Dict[str, str] = {}
+        now = time.monotonic()
+        for sid, tasks in remaining.items():
+            lease = read_lease(self.layout.lease_path(sid))
+            if not lease_expired(lease):
+                continue
+            # full-jitter backoff before re-running a shard whose owner
+            # died, so a transient cause (an OOMing host, a flaky share)
+            # can clear instead of being hammered in lockstep with peers
+            died = self._history(sid, lease)[1]
+            not_before = now + full_jitter_delay(self.backoff, len(died)) \
+                if died else 0.0
+            for task in tasks:
+                shard_of[task.task_id] = sid
+                items.append(PoolItem(key=task.task_id, payload=task,
+                                      not_before=not_before))
+        quarantined = self.result.shards_quarantined
+        held: Dict[str, Optional[_HeldShard]] = {}
+
+        def claim(item: PoolItem) -> bool:
+            sid = shard_of[item.key]
+            if sid not in held:
+                held[sid] = self._claim(sid, len(remaining[sid]),
+                                        fingerprint)
+            shard = held[sid]
+            if shard is None or shard.keeper.lost.is_set():
+                return False
+            if task_fingerprint(item.payload) in shard.done_cells:
+                # --resume never re-runs a journaled cell
+                self._settle(shard, None)
+                return False
+            if item.key == self._kill[0] and shard.epoch <= self._kill[1]:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return True
+
+        def on_done(item: PoolItem, elapsed: float, payload: Any) -> None:
+            shard = held[shard_of[item.key]]
+            shard.manifest.record_done(item.key, task_fingerprint(
+                item.payload), item.attempt, elapsed, payload)
+            self.result.tasks_done += 1
+            self._settle(shard, shard.manifest.tasks[item.key])
+
+        def on_failed(item: PoolItem, elapsed: float,
+                      error: Dict[str, Any]) -> None:
+            shard = held[shard_of[item.key]]
+            shard.manifest.record_failed(item.key, task_fingerprint(
+                item.payload), item.attempt, elapsed, error)
+            self.result.tasks_failed += 1
+            self._settle(shard, shard.manifest.tasks[item.key])
+
+        pool = ProcessTaskPool(execute_task, max_workers=self.max_workers,
+                               task_timeout=self.task_timeout,
+                               retries=self.retries, backoff=self.backoff,
+                               executor=self.executor)
+        try:
+            pool.run(items, on_done, on_failed, claim=claim,
+                     limit=self.limit - self._finished if self.limit else 0)
+        finally:
+            # interrupted, or stopped by the limit: hand back what is
+            # still held so a peer or a resume claims it at once
+            for shard in held.values():
+                if shard is not None and not shard.closed:
+                    self._close(shard, completed=False)
+        return any(held.values()) \
+            or self.result.shards_quarantined > quarantined
+
     # ----- one shard ------------------------------------------------------
 
-    def _prior_epoch(self, shard_id: str) -> int:
-        """Highest lease epoch this shard has ever been claimed under."""
-        best = 0
+    def _history(self, shard_id: str, lease: Optional[Dict[str, Any]]
+                 ) -> Tuple[Set[int], Set[int], Set[str]]:
+        """The shard's lease epochs so far (``lease``'s included), the
+        epochs whose owner died (a journal without a footer; a lease
+        that never wrote its journal ran nothing), and the cells
+        journaled done."""
+        epochs: Set[int] = set()
+        died: Set[int] = set()
+        done: Set[str] = set()
         for path in self.layout.results_dir.glob(f"{shard_id}.e*.jsonl"):
             remainder = path.name[len(shard_id) + 2:]  # past ".e"
             try:
-                best = max(best, int(remainder.split(".", 1)[0]))
+                epoch = int(remainder.split(".", 1)[0])
             except ValueError:
                 continue
-        lease = read_lease(self.layout.lease_path(shard_id))
-        if lease is not None:
-            try:
-                best = max(best, int(lease.get("epoch", 0)))
-            except (TypeError, ValueError):
-                pass
-        return best
+            epochs.add(epoch)
+            records = read_journal(path)
+            if not any(rec.get("event") in FOOTER_EVENTS for rec in records):
+                died.add(epoch)
+            done.update(rec.get("cell") for rec in records
+                        if rec.get("event") == "task"
+                        and rec.get("status") == "done")
+        epoch = lease.get("epoch") if lease is not None else None
+        if isinstance(epoch, int) and epoch:
+            epochs.add(epoch)
+        return epochs, died, done
 
-    def _try_shard(self, shard_id: str, tasks: Sequence[TaskSpec],
-                   fingerprint: str) -> bool:
-        """Claim and execute one shard if it is runnable now."""
-        now = time.monotonic()
-        if self._next_try.get(shard_id, 0.0) > now:
-            return False
-        # re-read the ack here, not just in the caller's snapshot: a
-        # peer may have completed this shard (and released its lease)
-        # since the snapshot, and a released lease must read as "done",
-        # never as "claimable"
+    def _claim(self, shard_id: str, size: int,
+               fingerprint: str) -> Optional[_HeldShard]:
+        """Claim one shard's lease now, or quarantine it; None when the
+        shard is not ours to run."""
+        # re-read the ack here, not just in the pass's snapshot: a peer
+        # may have completed this shard (and released its lease) since,
+        # and a released lease must read as "done", never "claimable"
         if _read_json(self.layout.ack_path(shard_id)) is not None:
-            return False
+            return None
         lease_path = self.layout.lease_path(shard_id)
         lease = read_lease(lease_path)
         if not lease_expired(lease):
-            return False
-        prior = self._prior_epoch(shard_id)
-        stolen = lease is not None
-        if prior >= self.max_shard_attempts \
-                and _read_json(self.layout.ack_path(shard_id)) is None:
-            # poison shard: it has burned every allowed lease.  The ack
-            # is written atomically; racing quarantiners write the same
-            # deterministic payload, so last-write-wins is harmless.
+            return None
+        epochs, died, done_cells = self._history(shard_id, lease)
+        if len(died) >= self.max_shard_attempts:
+            # poison shard: its owner died on every allowed lease.  The
+            # ack is written atomically; racing quarantiners write the
+            # same deterministic payload, so last-write-wins is harmless.
             atomic_write_json(self.layout.ack_path(shard_id), {
                 "shard": shard_id, "status": "quarantined",
-                "attempts": prior, "worker": self.worker_id})
-            if stolen:
+                "attempts": len(died), "worker": self.worker_id})
+            if lease is not None:
                 release_lease(lease_path, lease.get("nonce", ""))
             self.result.shards_quarantined += 1
             self._publish_status()
-            return True
-        if stolen:
-            # expired lease: its owner is presumed dead.  Unlink, then
-            # contend on the O_EXCL create like everyone else.  The
-            # unlink/create window can double-run the shard in a worst
-            # case; the merge dedupes, so safety never depends on it.
+            return None
+        if lease is not None:
+            # its owner is presumed dead.  Unlink, then contend on the
+            # O_EXCL create like everyone else.  The unlink/create window
+            # can double-run the shard in a worst case; the merge
+            # dedupes, so safety never depends on it.
             try:
                 lease_path.unlink()
             except OSError:
                 pass
-        epoch = prior + 1
+        epoch = max(epochs, default=0) + 1
         nonce = uuid.uuid4().hex[:12]
         if not try_claim_lease(lease_path, shard_id, self.worker_id, nonce,
                                epoch, self.lease_ttl):
-            return False
-        if stolen:
+            return None
+        if lease is not None:
             self.result.shards_stolen += 1
-        if prior:
+        if epochs:
             self.result.shards_requeued += 1
-            # full-jitter backoff *before the work*, not after: the
-            # shard already failed `prior` leases, so pause long enough
-            # to let a transient cause (an OOMing host, a flaky share)
-            # clear instead of hammering it in lockstep with peers
-            delay = full_jitter_delay(self.backoff, prior)
-            deadline = time.monotonic() + delay
-            while time.monotonic() < deadline:
-                time.sleep(min(0.05, deadline - time.monotonic()))
-                if not renew_lease(lease_path, nonce, self.lease_ttl):
-                    return False
-        self._execute_shard(shard_id, tasks, fingerprint, epoch, nonce)
-        return True
-
-    def _execute_shard(self, shard_id: str, tasks: Sequence[TaskSpec],
-                       fingerprint: str, epoch: int, nonce: str) -> None:
-        lease_path = self.layout.lease_path(shard_id)
         manifest = ShardManifest.create(
             self.layout.result_path(shard_id, epoch, nonce),
             shard=shard_id, fingerprint=fingerprint,
             worker=self.worker_id, epoch=epoch)
         keeper = _LeaseKeeper(lease_path, nonce, self.lease_ttl)
         keeper.start()
-        try:
-            if self.executor == "inline":
-                completed = self._run_shard_inline(manifest, tasks, keeper)
-            else:
-                completed = self._run_shard_pool(manifest, tasks, keeper)
-        except BaseException:
-            # interrupt/SIGTERM path: finalize what we journaled (the
-            # manifest is already atomically flushed per task — this
-            # guarantees the *last* state is the renamed file, not a
-            # temp) and hand the lease back so a peer claims the shard
-            # immediately instead of waiting out the ttl
-            keeper.stop()
-            manifest.flush()
-            release_lease(lease_path, nonce)
-            self._publish_status()
-            raise
-        keeper.stop()
-        if completed and not keeper.lost.is_set():
-            manifest.finalize(summary={
-                "tasks_done": sum(
-                    1 for rec in manifest.tasks.values()
-                    if rec["status"] == "done"),
-                "tasks_failed": sum(
-                    1 for rec in manifest.tasks.values()
-                    if rec["status"] == "failed")})
-            atomic_write_json(self.layout.ack_path(shard_id), {
-                "shard": shard_id, "status": "done",
-                "worker": self.worker_id, "nonce": nonce, "epoch": epoch})
-            release_lease(lease_path, nonce)
+        return _HeldShard(shard_id, epoch, nonce, manifest, keeper,
+                          left=size, done_cells=done_cells)
+
+    def _settle(self, shard: _HeldShard,
+                record: Optional[Dict[str, Any]]) -> None:
+        """One task of a held shard finished (``record``) or was skipped;
+        the last one closes the shard."""
+        shard.left -= 1
+        if record is not None:
+            self._finished += 1
+            if self.on_record is not None:
+                self.on_record(record)
+        if not shard.left:
+            self._close(shard, completed=True)
+
+    def _close(self, shard: _HeldShard, completed: bool) -> None:
+        """Stop heartbeating ``shard`` and settle its lease."""
+        shard.closed = True
+        shard.keeper.stop()
+        shard.keeper.join()
+        lease_path = self.layout.lease_path(shard.shard_id)
+        if shard.keeper.lost.is_set():
+            # lease lost mid-shard (we stalled past the ttl and were
+            # stolen): abandon quietly.  Our journal stays on disk; cells
+            # we did finish merge as duplicates.
+            self.result.shards_abandoned += 1
+        elif completed:
+            shard.manifest.finalize("shard-done")
+            atomic_write_json(self.layout.ack_path(shard.shard_id), {
+                "shard": shard.shard_id, "status": "done",
+                "worker": self.worker_id, "nonce": shard.nonce,
+                "epoch": shard.epoch})
+            release_lease(lease_path, shard.nonce)
             self.result.shards_done += 1
         else:
-            # lease lost mid-shard (we stalled past the ttl and were
-            # stolen): abandon quietly.  Our journal stays on disk; if
-            # we actually finished some cells they merge as duplicates.
-            manifest.flush()
-            self.result.shards_abandoned += 1
+            # handed back early (an interrupt or the limit): the footer
+            # keeps this epoch from counting toward max_shard_attempts
+            shard.manifest.finalize("shard-released")
+            release_lease(lease_path, shard.nonce)
         self._publish_status()
-
-    def _run_shard_inline(self, manifest: ShardManifest,
-                          tasks: Sequence[TaskSpec],
-                          keeper: _LeaseKeeper) -> bool:
-        kill = os.environ.get(KILL_ENV)
-        kill_target, kill_epochs = "", 0
-        if kill:
-            kill_target, _, upto = kill.partition("#")
-            kill_epochs = int(upto) if upto else 1
-        for task in tasks:
-            if keeper.lost.is_set():
-                return False
-            if kill_target and kill_target == task.task_id \
-                    and manifest.header["epoch"] <= kill_epochs:
-                os.kill(os.getpid(), signal.SIGKILL)
-            self._run_task_inline(manifest, task)
-        return True
-
-    def _run_task_inline(self, manifest: ShardManifest,
-                         task: TaskSpec) -> None:
-        attempt = 1
-        cell = task_fingerprint(task)
-        while True:
-            started = time.monotonic()
-            try:
-                outcome = execute_task(task)
-            except KeyboardInterrupt:
-                raise
-            except BaseException as exc:
-                elapsed = time.monotonic() - started
-                if attempt <= self.retries:
-                    time.sleep(full_jitter_delay(self.backoff, attempt))
-                    attempt += 1
-                    continue
-                manifest.record_failed(task.task_id, cell, attempt, elapsed,
-                                       error_payload(exc))
-                self.result.tasks_failed += 1
-                return
-            manifest.record_done(task.task_id, cell, attempt,
-                                 time.monotonic() - started, outcome)
-            self.result.tasks_done += 1
-            return
-
-    def _run_shard_pool(self, manifest: ShardManifest,
-                        tasks: Sequence[TaskSpec],
-                        keeper: _LeaseKeeper) -> bool:
-        pool = ProcessTaskPool(execute_task, max_workers=self.max_workers,
-                               task_timeout=self.task_timeout,
-                               retries=self.retries, backoff=self.backoff)
-        items = [PoolItem(key=task.task_id, payload=task) for task in tasks]
-        cells = {task.task_id: task_fingerprint(task) for task in tasks}
-
-        def on_done(item: PoolItem, elapsed: float, payload: Any) -> None:
-            manifest.record_done(item.key, cells[item.key], item.attempt,
-                                 elapsed, payload)
-            self.result.tasks_done += 1
-
-        def on_failed(item: PoolItem, elapsed: float,
-                      error: Dict[str, Any]) -> None:
-            manifest.record_failed(item.key, cells[item.key], item.attempt,
-                                   elapsed, error)
-            self.result.tasks_failed += 1
-
-        pool.run(items, on_done, on_failed)
-        return True
 
     # ----- telemetry ------------------------------------------------------
 
@@ -592,12 +670,19 @@ class DistWorker:
 
 @dataclass
 class DistResult:
-    """Merged outcome of a distributed campaign (possibly mid-flight)."""
+    """Merged outcome of a campaign (possibly mid-flight).
+
+    ``done`` and ``failed`` count every cell in the merged manifest;
+    ``skipped`` counts the cells recorded before this run.  ``tasks``
+    maps each task id to its cell's winning full record (attempts,
+    elapsed, trace-cache state included).
+    """
 
     total_tasks: int
     total_shards: int
     done: int = 0
     failed: int = 0
+    skipped: int = 0
     shards_done: int = 0
     shards_quarantined: int = 0
     manifest_path: Optional[Path] = None
@@ -621,8 +706,12 @@ class DistCoordinator:
     Stateless across restarts by construction: everything lives in the
     campaign directory, so killing the coordinator mid-campaign loses
     nothing — re-running ``publish()`` (with ``resume=True``) validates
-    the fingerprint, re-publishes any missing shard descriptors, and
-    ``wait()``/``merge()`` pick up from the files on disk.
+    the fingerprint and shard size, re-publishes any missing shard
+    descriptors, and ``wait()``/``merge()`` pick up from the files on
+    disk.  ``retry_failed`` (with ``resume``) un-acks every shard
+    holding a task-failed cell so that cell runs again.  ``recorded``
+    holds the records journaled before this run (the result's
+    ``skipped`` cells).
     """
 
     def __init__(self, spec: CampaignSpec, root: PathLike,
@@ -637,6 +726,7 @@ class DistCoordinator:
                  trace_cache: bool = True,
                  trace_cache_dir: Optional[PathLike] = None,
                  resume: bool = False,
+                 retry_failed: bool = False,
                  poll_interval: float = 0.2):
         if executor not in ("process", "inline"):
             raise CampaignError("executor must be 'process' or 'inline'")
@@ -657,6 +747,8 @@ class DistCoordinator:
             "poll_interval": poll_interval,
         }
         self.resume = resume
+        self.retry_failed = retry_failed
+        self.recorded = RecordMerge()
         self.poll_interval = poll_interval
         self.shards = shard_tasks(spec, self.shard_size)
         self.shard_ids = shard_ids(len(self.shards))
@@ -666,9 +758,14 @@ class DistCoordinator:
     def publish(self) -> None:
         """Write the shard queue, then the campaign file (in that order,
         so a worker that sees ``campaign.json`` sees the whole queue)."""
-        self.layout.ensure()
         fingerprint = self.spec.fingerprint()
         existing = _read_json(self.layout.campaign_file)
+        if existing is None and self.layout.manifest_path.exists():
+            raise CampaignError(
+                f"{self.layout.manifest_path} has no campaign.json beside"
+                " it: an older runner wrote it, and resuming would"
+                " overwrite its journal — choose a fresh --dir")
+        self.layout.ensure()
         if existing is not None:
             if not self.resume:
                 raise CampaignError(
@@ -681,18 +778,41 @@ class DistCoordinator:
                     f" different campaign grid (fingerprint"
                     f" {existing.get('fingerprint')} != {fingerprint});"
                     " refusing to mix results")
-        for sid, tasks in zip(self.shard_ids, self.shards):
+            if existing.get("shard_size") != self.shard_size:
+                raise CampaignError(
+                    f"{self.layout.campaign_file} was published with"
+                    f" shard size {existing.get('shard_size')}; resume it"
+                    f" with that size, not {self.shard_size}")
+            self.recorded = self._prepare_resume()
+        for index, (sid, tasks) in enumerate(zip(self.shard_ids,
+                                                 self.shards)):
             path = self.layout.shard_path(sid)
             if path.exists():
                 continue  # descriptors are immutable; never rewrite
             atomic_write_json(path, {
-                "shard": sid, "index": self.shard_ids.index(sid),
-                "fingerprint": fingerprint,
+                "shard": sid, "index": index, "fingerprint": fingerprint,
                 "tasks": [task.task_id for task in tasks]})
         atomic_write_json(self.layout.campaign_file, {
             "version": DIST_VERSION, "fingerprint": fingerprint,
             "spec": self.spec.to_dict(), "shards": len(self.shards),
             "shard_size": self.shard_size, "options": self.options})
+
+    def _prepare_resume(self) -> RecordMerge:
+        """The records journaled before this run.  With ``retry_failed``,
+        un-ack each done shard holding a failed cell (quarantined shards
+        stay quarantined) and leave those cells out: they run again."""
+        acks = self._ack_states()
+        records = self.collect(acks).records
+        retry: Set[str] = set()
+        for sid, tasks in zip(self.shard_ids, self.shards):
+            failed = {cell for cell in map(task_fingerprint, tasks)
+                      if records.get(cell, {}).get("status") == "failed"}
+            if self.retry_failed and failed \
+                    and (acks[sid] or {}).get("status") == "done":
+                self.layout.ack_path(sid).unlink()
+                retry |= failed
+        return RecordMerge(record for cell, record in records.items()
+                           if cell not in retry)
 
     # ----- merge ----------------------------------------------------------
 
@@ -700,26 +820,23 @@ class DistCoordinator:
         return {sid: _read_json(self.layout.ack_path(sid))
                 for sid in self.shard_ids}
 
-    def merge(self) -> DistResult:
-        """Merge every shard manifest into the campaign manifest.
+    def collect(self, acks: Dict[str, Optional[Dict[str, Any]]]
+                ) -> RecordMerge:
+        """Fold every shard manifest into a :class:`RecordMerge`.
 
-        Byte-stable: the output is a pure function of the record set
-        (plus quarantine acks), independent of worker count, steal
-        history, or merge timing — see ``manifest.merge_task_records``.
+        Each cell of a quarantined shard (per ``acks``) without a real
+        record becomes an explicit, deterministic failure (epoch 0, so a
+        genuine record from a partially-successful lease always
+        outranks it).
         """
-        fingerprint = self.spec.fingerprint()
-        acks = self._ack_states()
-        records = list(read_shard_records(self.layout.results_dir))
-        # quarantined shards: any cell without a real record becomes an
-        # explicit, deterministic failure (epoch 0, so a genuine record
-        # from a partially-successful lease always outranks it)
+        merge = RecordMerge(read_shard_records(self.layout.results_dir))
+        attempts = self.options["max_shard_attempts"]
         for sid, tasks in zip(self.shard_ids, self.shards):
             ack = acks[sid]
             if ack is None or ack.get("status") != "quarantined":
                 continue
-            attempts = self.options["max_shard_attempts"]
             for task in tasks:
-                records.append({
+                merge.fold({
                     "event": "task", "id": task.task_id,
                     "cell": task_fingerprint(task), "status": "failed",
                     "epoch": 0, "attempts": 0,
@@ -727,25 +844,35 @@ class DistCoordinator:
                               "message": f"{sid} quarantined after"
                                          f" {attempts} failed lease"
                                          " attempts"}})
-        merged = merge_task_records(records)
-        write_merged_manifest(self.layout.manifest_path, fingerprint,
-                              self.spec.to_dict(), merged)
+        return merge
 
+    def write_manifest(self, merge: RecordMerge) -> None:
+        """Write ``merge`` as the campaign's ``manifest.jsonl``."""
+        write_merged_manifest(self.layout.manifest_path,
+                              self.spec.fingerprint(), self.spec.to_dict(),
+                              merge.canonical)
+
+    def merge(self) -> DistResult:
+        """Merge every shard manifest into the campaign manifest.
+
+        Byte-stable: the output is a pure function of the record set
+        (plus quarantine acks), independent of worker count, steal
+        history, or merge timing — see ``manifest.RecordMerge``.
+        """
+        acks = self._ack_states()
+        merge = self.collect(acks)
+        self.write_manifest(merge)
+
+        cells = Counter(rec["status"] for rec in merge.records.values())
+        shards = Counter(ack.get("status") for ack in acks.values() if ack)
         result = DistResult(
             total_tasks=sum(len(tasks) for tasks in self.shards),
-            total_shards=len(self.shards),
-            manifest_path=self.layout.manifest_path)
-        result.tasks = {rec["id"]: rec for rec in merged.values()}
-        result.done = sum(1 for rec in merged.values()
-                          if rec["status"] == "done")
-        result.failed = sum(1 for rec in merged.values()
-                            if rec["status"] == "failed")
-        result.shards_done = sum(
-            1 for ack in acks.values()
-            if ack is not None and ack.get("status") == "done")
-        result.shards_quarantined = sum(
-            1 for ack in acks.values()
-            if ack is not None and ack.get("status") == "quarantined")
+            total_shards=len(self.shards), done=cells["done"],
+            failed=cells["failed"], skipped=len(self.recorded.records),
+            shards_done=shards["done"],
+            shards_quarantined=shards["quarantined"],
+            manifest_path=self.layout.manifest_path,
+            tasks={rec["id"]: rec for rec in merge.records.values()})
 
         fleet = MetricsRegistry.merge_all(
             status["metrics"]
@@ -800,11 +927,6 @@ class DistCoordinator:
 
 def _worker_entry(root: str, worker_id: str) -> None:
     """Subprocess entry point for locally spawned workers."""
-
-    def _sigterm(signum, frame):  # pragma: no cover - signal path
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _sigterm)
     try:
         DistWorker(root, worker_id=worker_id).run()
     except KeyboardInterrupt:  # pragma: no cover - shutdown path
@@ -881,9 +1003,35 @@ def run_distributed(spec: CampaignSpec, root: PathLike,
     return result
 
 
+def run_campaign(spec: CampaignSpec, root: PathLike, limit: int = 0,
+                 **coordinator_kwargs) -> DistResult:
+    """Run a campaign on this host: the fabric with one worker.
+
+    Publishes the grid (in one-task shards unless ``shard_size`` says
+    otherwise) and runs one :class:`DistWorker` in the calling process,
+    which keeps ``max_workers`` tasks in flight (``executor="inline"``
+    runs them here, one at a time).  ``manifest.jsonl`` is rewritten
+    after every finished task, so a progress poller sees it grow;
+    ``limit`` > 0 stops after that many finished tasks.
+    ``KeyboardInterrupt`` (SIGTERM included) and ``SystemExit``
+    propagate with every journal flushed and every held lease released;
+    ``--resume`` then continues where the run stopped.
+    """
+    coordinator = DistCoordinator(spec, root, **coordinator_kwargs)
+    coordinator.publish()
+    merge = RecordMerge(coordinator.recorded.records.values())
+
+    def on_record(record: Dict[str, Any]) -> None:
+        if merge.fold(record):
+            coordinator.write_manifest(merge)
+
+    DistWorker(root, limit=limit, on_record=on_record).run()
+    return coordinator.merge()
+
+
 __all__ = [
     "CampaignLayout", "DIST_VERSION", "DistCoordinator", "DistResult",
     "DistWorker", "KILL_ENV", "WorkerResult", "lease_expired",
-    "read_lease", "release_lease", "renew_lease", "run_distributed",
-    "shard_ids", "shard_tasks", "try_claim_lease",
+    "read_lease", "release_lease", "renew_lease", "run_campaign",
+    "run_distributed", "shard_ids", "shard_tasks", "try_claim_lease",
 ]

@@ -1,28 +1,25 @@
-"""Campaign manifest: a crash-safe JSONL journal of task outcomes.
+"""Campaign manifests: per-shard JSONL journals and their merge.
 
-The manifest is the campaign's source of truth.  Its first record
-describes the campaign (format version, a fingerprint of the expanded
-task grid, the spec itself); each subsequent record is one finished
-task — ``done`` with its measured result, or ``failed`` with the
+Every campaign, single-host or distributed, runs on the shard fabric
+(:mod:`repro.runner.dist`).  Each (shard, lease) attempt journals its
+task outcomes to its own *shard manifest* (:class:`ShardManifest`):
+``done`` records carry the measured result, ``failed`` ones the
 captured error (exception type, message, traceback, and, for simulator
-aborts, the diagnostic snapshot).
+aborts, the diagnostic snapshot).  The file is rewritten through the
+atomic write-temp-then-rename helper after every task, so a worker
+killed at *any* instant leaves either the previous complete journal or
+the new one — never a torn line.
 
-Durability model: the file is rewritten through the atomic
-write-temp-then-rename helper after every task, so a campaign killed at
-*any* instant leaves either the previous complete journal or the new
-one — never a torn line.  ``CampaignManifest.load`` is nevertheless
-lenient about trailing garbage (a manifest copied off a dying machine,
-say): corrupt trailing lines are dropped and reported, not fatal.
-
-Distributed campaigns add a second journal species: the *shard
-manifest* (:class:`ShardManifest`), one JSONL file per (shard, lease)
-attempt, appended by exactly one worker and merged by the coordinator
-through :func:`merge_task_records` / :func:`write_merged_manifest`.
-The merge is deliberately a pure function of the record *set*: any
-permutation of shard files — including duplicates left behind by a
-stolen-then-completed shard — produces the byte-identical campaign
-manifest, with last-write-wins keyed on each cell's content
-fingerprint.
+The campaign manifest ``manifest.jsonl`` is the merge of every
+journal: :class:`RecordMerge` folds records (one at a time, so a
+single-host run can rewrite the manifest after each task) and
+:func:`write_merged_manifest` writes the canonical result.  The merge
+is a pure function of the record *set*: any permutation of shard files
+— including duplicates left behind by a stolen-then-completed shard —
+produces the byte-identical campaign manifest, with last-write-wins
+keyed on each cell's content fingerprint.  :meth:`CampaignManifest.load`
+reads it back, lenient about trailing garbage (a manifest copied off a
+dying machine, say): corrupt lines are dropped and counted, not fatal.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ class ManifestError(RuntimeError):
 
 
 class CampaignManifest:
-    """In-memory view of the journal, flushed atomically on update."""
+    """Read-only view of a merged campaign manifest."""
 
     def __init__(self, path: PathLike):
         self.path = Path(path)
@@ -66,42 +63,17 @@ class CampaignManifest:
         self.tasks: Dict[str, Dict[str, Any]] = {}
         self.dropped_lines = 0
 
-    # ----- construction ---------------------------------------------------
-
-    @classmethod
-    def create(cls, path: PathLike, fingerprint: str,
-               spec: Dict[str, Any]) -> "CampaignManifest":
-        """Start a fresh journal for a campaign."""
-        manifest = cls(path)
-        manifest.header = {"event": "campaign",
-                           "version": MANIFEST_VERSION,
-                           "fingerprint": fingerprint,
-                           "spec": spec}
-        manifest.flush()
-        return manifest
-
     @classmethod
     def load(cls, path: PathLike) -> "CampaignManifest":
-        """Read an existing journal, tolerating trailing corruption."""
+        """Read an existing manifest, tolerating trailing corruption."""
         manifest = cls(path)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ManifestError(f"cannot read manifest {path}: {exc}") \
                 from exc
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                manifest.dropped_lines += 1
-                continue
-            if not isinstance(record, dict):
-                manifest.dropped_lines += 1
-                continue
+        records, manifest.dropped_lines = _json_lines(text)
+        for record in records:
             event = record.get("event")
             if event == "campaign":
                 if record.get("version") != MANIFEST_VERSION:
@@ -119,64 +91,16 @@ class CampaignManifest:
                 " corrupted beyond resume")
         return manifest
 
-    # ----- queries --------------------------------------------------------
 
-    @property
-    def fingerprint(self) -> str:
-        return self.header.get("fingerprint", "") if self.header else ""
-
-    def completed_ids(self) -> List[str]:
-        return [tid for tid, rec in self.tasks.items()
-                if rec.get("status") == "done"]
-
-    def failed_ids(self) -> List[str]:
-        return [tid for tid, rec in self.tasks.items()
-                if rec.get("status") == "failed"]
-
-    def status_of(self, task_id: str) -> Optional[str]:
-        record = self.tasks.get(task_id)
-        return record.get("status") if record else None
-
-    # ----- updates --------------------------------------------------------
-
-    def record_done(self, task_id: str, attempts: int, elapsed: float,
-                    result: Dict[str, Any]) -> None:
-        self.tasks[task_id] = {"event": "task", "id": task_id,
-                               "status": "done", "attempts": attempts,
-                               "elapsed": round(elapsed, 3),
-                               "result": result}
-        self.flush()
-
-    def record_failed(self, task_id: str, attempts: int, elapsed: float,
-                      error: Dict[str, Any]) -> None:
-        self.tasks[task_id] = {"event": "task", "id": task_id,
-                               "status": "failed", "attempts": attempts,
-                               "elapsed": round(elapsed, 3),
-                               "error": error}
-        self.flush()
-
-    def forget(self, task_id: str) -> None:
-        """Drop a task record (used when retrying failed tasks)."""
-        self.tasks.pop(task_id, None)
-
-    def flush(self) -> None:
-        """Atomically rewrite the journal from the in-memory state."""
-        if self.header is None:
-            raise ManifestError("manifest has no header; nothing to flush")
-        records = [self.header] + [self.tasks[tid]
-                                   for tid in sorted(self.tasks)]
-        atomic_append_jsonl(self.path, records)
-
-
-# ----- shard manifests (distributed campaigns) --------------------------------
+# ----- shard manifests --------------------------------------------------------
 
 
 class ShardManifest:
     """One worker's JSONL journal for one (shard, lease) attempt.
 
-    Every record lands via a full atomic rewrite, exactly like the
-    campaign manifest, so a worker host lost at any instant leaves a
-    complete, parseable journal of everything it finished.  The file is
+    Every record lands via a full atomic rewrite, so a worker host lost
+    at any instant leaves a complete, parseable journal of everything it
+    finished.  The file is
     named for the shard, the lease epoch, and the lease nonce, so two
     workers that ever race on one shard (an expired lease stolen while
     its original owner limps on) write to *different* files and the
@@ -220,14 +144,15 @@ class ShardManifest:
                                "error": error}
         self.flush()
 
-    def finalize(self, summary: Optional[Dict[str, Any]] = None) -> None:
-        """Append the shard-done footer: the shard ran to completion."""
-        self.footer = {"event": "shard-done", "shard": self.shard,
+    def finalize(self, event: str = "shard-done") -> None:
+        """Append the footer: ``shard-done`` when the shard ran to
+        completion, ``shard-released`` when its lease was handed back
+        early (an interrupt or ``--limit``).  A journal without a footer
+        is an epoch whose owner died."""
+        self.footer = {"event": event, "shard": self.shard,
                        "worker": self.header["worker"],
                        "epoch": self.header["epoch"],
                        "tasks": len(self.tasks)}
-        if summary:
-            self.footer["summary"] = summary
         self.flush()
 
     def flush(self) -> None:
@@ -238,34 +163,45 @@ class ShardManifest:
         atomic_append_jsonl(self.path, records)
 
 
+def _json_lines(text: str) -> Tuple[List[Dict[str, Any]], int]:
+    """The JSON objects on ``text``'s lines, in order, and how many
+    other non-blank lines (torn, unparseable, not an object) it holds."""
+    lines = [line for line in text.split("\n") if line.strip()]
+    records = []
+    for line in lines:
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records, len(lines) - len(records)
+
+
+def read_journal(path: PathLike) -> List[Dict[str, Any]]:
+    """Every JSON object on one journal's lines, in file order.
+
+    Lenient by design — journals are read while workers are live and
+    after hosts have died mid-write, so an unreadable file, unparseable
+    lines and non-object lines are skipped, never fatal.
+    """
+    try:
+        return _json_lines(Path(path).read_text(encoding="utf-8"))[0]
+    except OSError:
+        return []
+
+
 def read_shard_records(results_dir: PathLike
                        ) -> Iterator[Dict[str, Any]]:
-    """Yield every task record from every shard manifest in a directory.
-
-    Lenient by design — the merge runs while workers are live and after
-    hosts have died mid-write, so unparseable lines, foreign events,
-    and half-copied files are skipped, never fatal.  File order is
-    unspecified; the merge is order-independent.
-    """
+    """Yield every task record from every shard manifest in a directory
+    (leniently, see :func:`read_journal`).  File order is unspecified;
+    the merge is order-independent."""
     directory = Path(results_dir)
     if not directory.is_dir():
         return
     for path in sorted(directory.glob("*.jsonl")):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            continue
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict) and record.get("event") == "task" \
-                    and "id" in record:
+        for record in read_journal(path):
+            if record.get("event") == "task" and "id" in record:
                 yield record
 
 
@@ -302,19 +238,46 @@ def canonical_task_record(record: Dict[str, Any]) -> Dict[str, Any]:
     return canon
 
 
-def _record_precedence(record: Dict[str, Any]) -> Tuple:
-    """Total order for duplicate records of one cell.
+class RecordMerge:
+    """Incremental form of :func:`merge_task_records`.
 
-    ``done`` beats ``failed`` (a stolen shard's completion supersedes
-    the original owner's crash), then the higher lease epoch wins
-    (last-write-wins), then attempts, then the canonical serialisation
-    as an arbitrary-but-stable tiebreak so the winner never depends on
-    input order.
+    Folds task records one at a time (``records`` first) and keeps, per
+    cell fingerprint, the winning full record (``records``, with
+    attempts, elapsed and trace-cache state) next to its canonical form
+    (``canonical``, what the merged manifest holds).
     """
-    return (1 if record.get("status") == "done" else 0,
-            int(record.get("epoch", 0)),
-            int(record.get("attempts", 0)),
-            json.dumps(canonical_task_record(record), sort_keys=True))
+
+    def __init__(self, records: Iterable[Dict[str, Any]] = ()) -> None:
+        self.records: Dict[str, Dict[str, Any]] = {}
+        self.canonical: Dict[str, Dict[str, Any]] = {}
+        self._rank: Dict[str, Tuple] = {}
+        for record in records:
+            self.fold(record)
+
+    def fold(self, record: Dict[str, Any]) -> bool:
+        """Fold one record in; returns True when it became its cell's
+        winner.
+
+        Duplicates are ordered totally, never by arrival: ``done`` beats
+        ``failed`` (a stolen shard's completion supersedes the original
+        owner's crash), then the higher lease epoch wins
+        (last-write-wins), then attempts, then the canonical
+        serialisation as an arbitrary-but-stable tiebreak.
+        """
+        cell = record.get("cell", record.get("id"))
+        if cell is None:
+            return False
+        canon = canonical_task_record(record)
+        rank = (1 if record.get("status") == "done" else 0,
+                int(record.get("epoch", 0)),
+                int(record.get("attempts", 0)),
+                json.dumps(canon, sort_keys=True))
+        if cell in self._rank and rank <= self._rank[cell]:
+            return False
+        self._rank[cell] = rank
+        self.records[cell] = record
+        self.canonical[cell] = canon
+        return True
 
 
 def merge_task_records(records: Iterable[Dict[str, Any]]
@@ -323,20 +286,10 @@ def merge_task_records(records: Iterable[Dict[str, Any]]
 
     Pure and order-independent: merging any permutation of any shard
     manifests (with duplicates) yields the same map, because each
-    cell's winner is chosen by :func:`_record_precedence`, which never
-    looks at arrival order.
+    cell's winner is chosen by :meth:`RecordMerge.fold`'s total order,
+    which never looks at arrival order.
     """
-    winners: Dict[str, Dict[str, Any]] = {}
-    precedence: Dict[str, Tuple] = {}
-    for record in records:
-        cell = record.get("cell", record.get("id"))
-        if cell is None:
-            continue
-        rank = _record_precedence(record)
-        if cell not in precedence or rank > precedence[cell]:
-            precedence[cell] = rank
-            winners[cell] = canonical_task_record(record)
-    return winners
+    return RecordMerge(records).canonical
 
 
 def write_merged_manifest(path: PathLike, fingerprint: str,

@@ -13,8 +13,7 @@ without re-implementing them:
   failures get ``retries`` extra attempts, each delayed a uniformly
   random amount of the ``backoff * 2**(n-1)`` ceiling (deterministic
   backoff synchronises retry storms across a fleet of workers; the
-  jitter decorrelates them — pass ``jitter=False`` for the old
-  fixed-delay behaviour in deterministic tests);
+  jitter decorrelates them);
 * **graceful shutdown** — on any exit (including ``KeyboardInterrupt``)
   every in-flight worker is killed and collected.
 
@@ -24,10 +23,15 @@ child process for each.  Outcomes are delivered through the caller's
 ``on_done(item, elapsed, payload)`` / ``on_failed(item, elapsed,
 error)`` callbacks, invoked in the parent as results land.
 
-Chaos hooks (for the failure-path tests and CI smoke): workers honour
-``REPRO_CAMPAIGN_TEST_DELAY`` (sleep that many seconds before working),
-``REPRO_CAMPAIGN_TEST_CRASH`` and ``REPRO_CAMPAIGN_TEST_HANG`` (key
-substrings; matching workers SIGKILL themselves / sleep forever).
+``executor="inline"`` runs each task in the calling process instead,
+one at a time, with the same retry, backoff and ``limit`` rules but no
+isolation: only an ``Exception`` fails a task, and
+``KeyboardInterrupt``/``SystemExit`` end the run.
+
+Chaos hooks (for the failure-path tests and CI smoke): child processes
+honour ``REPRO_CAMPAIGN_TEST_DELAY`` (sleep that many seconds before
+working), ``REPRO_CAMPAIGN_TEST_CRASH`` and ``REPRO_CAMPAIGN_TEST_HANG``
+(key substrings; matching children SIGKILL themselves / sleep forever).
 """
 
 from __future__ import annotations
@@ -129,7 +133,8 @@ class ProcessTaskPool:
     ``worker`` must be picklable under the spawn start method (a module
     top-level function); with fork any callable works.  Callbacks run
     in the parent, so they may touch non-picklable state (manifests,
-    result aggregates) freely.
+    result aggregates) freely.  ``executor`` is ``"process"`` or
+    ``"inline"`` (see the module docstring).
     """
 
     def __init__(self, worker: Callable[[Any], Any],
@@ -137,13 +142,13 @@ class ProcessTaskPool:
                  task_timeout: float = 600.0,
                  retries: int = 1,
                  backoff: float = 0.5,
-                 jitter: bool = True):
+                 executor: str = "process"):
         self.worker = worker
         self.max_workers = max(1, max_workers)
         self.task_timeout = task_timeout
         self.retries = max(0, retries)
         self.backoff = backoff
-        self.jitter = jitter
+        self.inline = executor == "inline"
         if "fork" in multiprocessing.get_all_start_methods():
             self._ctx = multiprocessing.get_context("fork")
         else:  # pragma: no cover - non-POSIX fallback
@@ -183,8 +188,7 @@ class ProcessTaskPool:
         """Apply the retry policy; returns True when the task finished
         (failed for good)."""
         if item.attempt <= self.retries:
-            delay = full_jitter_delay(self.backoff, item.attempt,
-                                      jitter=self.jitter)
+            delay = full_jitter_delay(self.backoff, item.attempt)
             item.attempt += 1
             item.not_before = time.monotonic() + delay
             pending.append(item)
@@ -192,14 +196,35 @@ class ProcessTaskPool:
         on_failed(item, elapsed, error)
         return True
 
+    def _run_inline(self, item: PoolItem, pending: List[PoolItem],
+                    on_done: Callable[[PoolItem, float, Any], None],
+                    on_failed: Callable[[PoolItem, float,
+                                         Dict[str, Any]], None]) -> bool:
+        """Run one task in this process; returns True when it finished."""
+        started = time.monotonic()
+        try:
+            result = self.worker(item.payload)
+        except Exception as exc:
+            return self._requeue_or_fail(item, time.monotonic() - started,
+                                         error_payload(exc), pending,
+                                         on_failed)
+        on_done(item, time.monotonic() - started, result)
+        return True
+
     # ----- the scheduler loop ---------------------------------------------
 
     def run(self, items: List[PoolItem],
             on_done: Callable[[PoolItem, float, Any], None],
             on_failed: Callable[[PoolItem, float, Dict[str, Any]], None],
-            limit: int = 0) -> None:
+            limit: int = 0,
+            claim: Optional[Callable[[PoolItem], bool]] = None) -> None:
         """Drain ``items`` through the pool; ``limit`` > 0 stops after
-        that many tasks finish (done or failed for good)."""
+        that many tasks finish (done or failed for good).
+
+        ``claim(item)``, when given, is asked just before each launch
+        (retries included); an item it refuses is dropped without
+        counting toward ``limit``.
+        """
         pending = list(items)
         running: List[_Running] = []
         finished = 0
@@ -210,18 +235,26 @@ class ProcessTaskPool:
                 now = time.monotonic()
 
                 # launch ready tasks up to capacity (unless limited out)
-                if not limit or finished < limit:
-                    ready = [p for p in pending if p.not_before <= now]
-                    while ready and len(running) < self.max_workers:
-                        item = ready.pop(0)
-                        pending.remove(item)
+                ready = [p for p in pending if p.not_before <= now]
+                while ready and len(running) < self.max_workers \
+                        and not (limit and finished >= limit):
+                    item = ready.pop(0)
+                    pending.remove(item)
+                    if claim is not None and not claim(item):
+                        continue
+                    if self.inline:
+                        finished += self._run_inline(item, pending,
+                                                     on_done, on_failed)
+                    else:
                         running.append(self._launch(item))
 
                 if not running:
-                    # everything pending is backing off; sleep to the
-                    # earliest wake-up
-                    wake = min(p.not_before for p in pending)
-                    time.sleep(min(max(wake - now, 0.01), 1.0))
+                    if pending and not (limit and finished >= limit):
+                        # everything pending is backing off; sleep to
+                        # the earliest wake-up
+                        wake = min(p.not_before for p in pending)
+                        time.sleep(min(max(wake - time.monotonic(), 0.01),
+                                       1.0))
                     continue
 
                 # wait for output, a death, or the nearest deadline

@@ -1,9 +1,11 @@
-"""Campaign runner: grid expansion, crash isolation, resume semantics.
+"""Single-host campaigns: grid expansion, crash isolation, resume.
 
-The failure-path tests drive the real process pool through the chaos
-hooks (``REPRO_CAMPAIGN_TEST_*``) documented in ``docs/runner.md``:
-workers that crash, hang, or get killed mid-campaign must each leave a
-resumable manifest and never take the campaign down with them.
+A single-host ``run_campaign`` is the campaign fabric with one
+in-process worker.  The failure-path tests drive the real process pool
+through the chaos hooks (``REPRO_CAMPAIGN_TEST_*``) documented in
+``docs/runner.md``: workers that crash, hang, or get killed
+mid-campaign must each leave a resumable campaign and never take it
+down with them.
 """
 
 import dataclasses
@@ -19,10 +21,11 @@ import pytest
 
 from repro.analysis.report import render_campaign
 from repro.core.registry import REGISTRY
-from repro.runner.campaign import (CRASH_ENV, DELAY_ENV, HANG_ENV,
-                                   CampaignError, CampaignRunner,
-                                   CampaignSpec, execute_task, run_campaign)
-from repro.runner.manifest import CampaignManifest
+from repro.runner import (CampaignError, CampaignLayout, CampaignSpec,
+                          DistCoordinator, execute_task, run_campaign)
+from repro.runner.manifest import (CampaignManifest, merge_task_records,
+                                   read_shard_records, write_merged_manifest)
+from repro.runner.pool import CRASH_ENV, DELAY_ENV, HANG_ENV
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
@@ -32,6 +35,12 @@ def small_spec(**overrides):
                 policies=("original", "lut-4"))
     base.update(overrides)
     return CampaignSpec(**base)
+
+
+def done_ids(manifest_path):
+    manifest = CampaignManifest.load(manifest_path)
+    return {tid for tid, rec in manifest.tasks.items()
+            if rec["status"] == "done"}
 
 
 class TestSpec:
@@ -83,7 +92,7 @@ class TestSpec:
 
     def test_invalid_executor(self, tmp_path):
         with pytest.raises(CampaignError, match="executor"):
-            CampaignRunner(small_spec(), tmp_path, executor="thread")
+            run_campaign(small_spec(), tmp_path, executor="thread")
 
 
 class TestExecuteTask:
@@ -132,10 +141,9 @@ class TestCampaignTraceCache:
         # faults never alter the published stream, so the second task
         # replays the first task's recording
         spec = small_spec(workloads=("li",), fault_rates=(0.0, 0.2))
-        run_campaign(spec, tmp_path, executor="inline")
-        manifest = CampaignManifest.load(tmp_path / "manifest.jsonl")
-        states = {entry["id"]: entry["result"]["trace_cache"]
-                  for entry in manifest.tasks.values()}
+        result = run_campaign(spec, tmp_path, executor="inline")
+        states = {tid: entry["result"]["trace_cache"]
+                  for tid, entry in result.tasks.items()}
         assert states == {"li@s1/default/r0": "miss",
                           "li@s1/default/r0.2": "hit"}
         entries = list((tmp_path / "trace-cache").iterdir())
@@ -162,12 +170,9 @@ class TestCampaignTraceCache:
 
     def test_hit_and_miss_cells_report_identical_results(self, tmp_path):
         spec = small_spec(workloads=("compress",), fault_rates=(0.0, 0.0001))
-        run_campaign(spec, tmp_path, executor="inline")
-        cached = CampaignManifest.load(tmp_path / "manifest.jsonl")
-
-        fresh_dir = tmp_path / "fresh"
-        run_campaign(spec, fresh_dir, executor="inline", trace_cache=False)
-        fresh = CampaignManifest.load(fresh_dir / "manifest.jsonl")
+        cached = run_campaign(spec, tmp_path / "cached", executor="inline")
+        fresh = run_campaign(spec, tmp_path / "fresh", executor="inline",
+                             trace_cache=False)
 
         for task_id, entry in fresh.tasks.items():
             want = dict(entry["result"])
@@ -186,9 +191,9 @@ class TestCampaignTraceCache:
 
     def test_trace_cache_disabled_leaves_no_directory(self, tmp_path):
         spec = small_spec(workloads=("li",))
-        run_campaign(spec, tmp_path, executor="inline", trace_cache=False)
-        manifest = CampaignManifest.load(tmp_path / "manifest.jsonl")
-        for entry in manifest.tasks.values():
+        result = run_campaign(spec, tmp_path, executor="inline",
+                              trace_cache=False)
+        for entry in result.tasks.values():
             assert entry["result"]["trace_cache"] == "off"
         assert not (tmp_path / "trace-cache").exists()
 
@@ -208,9 +213,8 @@ class TestInlineRunner:
         result = run_campaign(small_spec(), tmp_path, executor="inline")
         assert result.complete
         assert (result.done, result.failed, result.skipped) == (2, 0, 0)
-        manifest = CampaignManifest.load(tmp_path / "manifest.jsonl")
-        assert sorted(manifest.completed_ids()) \
-            == ["compress@s1/default/r0", "li@s1/default/r0"]
+        assert done_ids(tmp_path / "manifest.jsonl") \
+            == {"compress@s1/default/r0", "li@s1/default/r0"}
 
     def test_existing_manifest_needs_resume_flag(self, tmp_path):
         run_campaign(small_spec(), tmp_path, executor="inline")
@@ -233,19 +237,17 @@ class TestInlineRunner:
         first = run_campaign(spec, tmp_path, executor="inline", limit=1)
         assert not first.complete
         assert first.done == 1 and first.remaining == 3
-        done_before = set(
-            CampaignManifest.load(tmp_path / "manifest.jsonl")
-            .completed_ids())
+        done_before = done_ids(tmp_path / "manifest.jsonl")
         assert len(done_before) == 1
 
         second = run_campaign(spec, tmp_path, executor="inline", resume=True)
         assert second.complete
-        assert second.skipped == 1 and second.done == 3
-        manifest = CampaignManifest.load(tmp_path / "manifest.jsonl")
-        assert set(manifest.completed_ids()) == all_ids
-        # the resumed run recorded exactly the complement of the first
-        assert {tid for tid in manifest.tasks
-                if tid not in done_before} == all_ids - done_before
+        assert second.skipped == 1 and second.done == 4
+        assert done_ids(tmp_path / "manifest.jsonl") == all_ids
+        # the resumed run executed exactly the complement of the first:
+        # one lease journal per cell, none re-run
+        journals = list(CampaignLayout(tmp_path).results_dir.iterdir())
+        assert len(journals) == len(all_ids)
 
 
 class TestSimulatorAbortsAreContained:
@@ -332,20 +334,18 @@ class TestProcessPool:
                               executor="inline", resume=True,
                               retry_failed=True)
         assert result.complete and result.done == 1 and result.failed == 0
-        manifest = CampaignManifest.load(tmp_path / "manifest.jsonl")
-        assert manifest.status_of("li@s1/default/r0") == "done"
+        assert done_ids(tmp_path / "manifest.jsonl") == {"li@s1/default/r0"}
 
 
 class TestKillAndResume:
     def test_sigkill_mid_campaign_then_resume(self, tmp_path):
-        """ISSUE acceptance: SIGKILL the whole campaign process mid-run;
-        the manifest left behind resumes to exactly the pending set."""
+        """SIGKILL the whole campaign process mid-run; the journals left
+        behind resume to exactly the pending set, at once."""
         spec = small_spec(fault_rates=(0.0, 0.05))  # 4 tasks
         all_ids = {t.task_id for t in spec.tasks()}
         out_dir = tmp_path / "campaign"
         driver = ("import json, sys\n"
-                  "from repro.runner.campaign import CampaignSpec,"
-                  " run_campaign\n"
+                  "from repro.runner import CampaignSpec, run_campaign\n"
                   "spec = CampaignSpec.from_dict(json.loads(sys.argv[1]))\n"
                   "run_campaign(spec, sys.argv[2], max_workers=1,"
                   " task_timeout=60.0, retries=0)\n")
@@ -359,29 +359,176 @@ class TestKillAndResume:
         manifest_path = out_dir / "manifest.jsonl"
         try:
             deadline = time.monotonic() + 60.0
-            done_before = set()
             while time.monotonic() < deadline:
-                if manifest_path.exists():
-                    done_before = set(CampaignManifest.load(manifest_path)
-                                      .completed_ids())
-                    if done_before:
-                        break
+                if manifest_path.exists() and done_ids(manifest_path):
+                    break
                 time.sleep(0.05)
         finally:
             proc.kill()  # SIGKILL: no cleanup handlers run
             proc.wait(timeout=30)
-        # the journal survived the kill with at least one task recorded,
-        # and the campaign clearly did not finish
-        done_before = set(
-            CampaignManifest.load(manifest_path).completed_ids())
+        # the journals survived the kill with at least one task
+        # recorded, and the campaign clearly did not finish; the
+        # manifest never shows a cell the journals lack
+        journaled = merge_task_records(read_shard_records(
+            CampaignLayout(out_dir).results_dir))
+        done_before = {rec["id"] for rec in journaled.values()
+                       if rec["status"] == "done"}
         assert done_before and done_before < all_ids
+        assert done_ids(manifest_path) <= done_before
 
-        result = run_campaign(spec, out_dir, executor="inline", resume=True)
+        # the dead run's lease names a pid that no longer exists, so
+        # the resume claims it at once despite the 600 s ttl
+        start = time.monotonic()
+        result = run_campaign(spec, out_dir, executor="inline", resume=True,
+                              lease_ttl=600.0)
+        assert time.monotonic() - start < 120.0
         assert result.complete
         assert result.skipped == len(done_before)
-        assert result.done == len(all_ids) - len(done_before)
-        manifest = CampaignManifest.load(manifest_path)
-        assert set(manifest.completed_ids()) == all_ids
+        assert result.done == len(all_ids)
+        assert done_ids(manifest_path) == all_ids
+        # and ran exactly the pending set: across every journal each
+        # cell is done once, even one journaled before the kill landed
+        # but not yet acked
+        done_records = [rec["id"] for rec in read_shard_records(
+            CampaignLayout(out_dir).results_dir) if rec["status"] == "done"]
+        assert sorted(done_records) == sorted(all_ids)
+
+    def test_cell_journaled_but_not_acked_is_not_rerun(self, tmp_path,
+                                                       monkeypatch):
+        """A run killed between journaling a cell and acking its shard
+        leaves a journal without a footer: the resume claims the shard,
+        skips the cell and acks it without running it again."""
+        spec = small_spec(workloads=("li",))
+        run_campaign(spec, tmp_path, executor="inline")
+        layout = CampaignLayout(tmp_path)
+        layout.ack_path("shard-0000").unlink()
+        (journal,) = layout.results_dir.iterdir()
+        lines = journal.read_text().splitlines(keepends=True)
+        assert json.loads(lines[-1])["event"] == "shard-done"
+        journal.write_text("".join(lines[:-1]))
+
+        from repro.runner import dist as dist_mod
+
+        def rerun(task):
+            raise AssertionError(f"{task.task_id} ran again")
+
+        monkeypatch.setattr(dist_mod, "execute_task", rerun)
+        result = run_campaign(spec, tmp_path, executor="inline",
+                              resume=True, retries=0)
+        assert result.complete
+        assert (result.done, result.failed, result.skipped) == (1, 0, 1)
+        assert [rec["status"] for rec in read_shard_records(
+            layout.results_dir)] == ["done"]
+        assert json.loads(layout.ack_path("shard-0000").read_text()
+                          )["epoch"] == 2
+
+
+class TestInterrupts:
+    @pytest.fixture
+    def raising(self, monkeypatch):
+        """Make one task id raise ``exc`` in the in-process worker."""
+        from repro.runner import dist as dist_mod
+        real = dist_mod.execute_task
+
+        def install(task_id, exc):
+            def execute(task):
+                if task.task_id == task_id:
+                    raise exc
+                return real(task)
+            monkeypatch.setattr(dist_mod, "execute_task", execute)
+        return install
+
+    def test_interrupts_never_quarantine_a_cell(self, tmp_path, raising,
+                                                monkeypatch):
+        """Three ^Cs on one task, each followed by a resume, hand its
+        lease back each time; none counts toward max_shard_attempts."""
+        spec = small_spec()
+        raising("li@s1/default/r0", KeyboardInterrupt)
+        for run in range(3):
+            with pytest.raises(KeyboardInterrupt):
+                run_campaign(spec, tmp_path, executor="inline",
+                             resume=run > 0, max_shard_attempts=3)
+        layout = CampaignLayout(tmp_path)
+        footers = [json.loads(path.read_text().splitlines()[-1])["event"]
+                   for path in layout.results_dir.glob("shard-0001.*")]
+        assert footers == ["shard-released"] * 3
+        assert not list(layout.lease_dir.iterdir())
+
+        monkeypatch.undo()
+        result = run_campaign(spec, tmp_path, executor="inline",
+                              resume=True, max_shard_attempts=3)
+        assert result.complete and result.shards_quarantined == 0
+        assert (result.done, result.failed, result.skipped) == (2, 0, 1)
+
+    def test_system_exit_ends_the_run(self, tmp_path, raising):
+        """An inline task raising SystemExit is not a task failure: the
+        run ends, the shard stays unacked and its lease is released."""
+        raising("li@s1/default/r0", SystemExit(3))
+        with pytest.raises(SystemExit):
+            run_campaign(small_spec(workloads=("li",)), tmp_path,
+                         executor="inline")
+        layout = CampaignLayout(tmp_path)
+        assert not layout.ack_path("shard-0000").exists()
+        assert not layout.lease_path("shard-0000").exists()
+        (journal,) = layout.results_dir.iterdir()
+        records = [json.loads(line)
+                   for line in journal.read_text().splitlines()]
+        assert [rec["event"] for rec in records] \
+            == ["shard", "shard-released"]
+
+    @pytest.mark.parametrize("join", [False, True])
+    def test_sigterm_hands_the_lease_back(self, tmp_path, join):
+        """SIGTERM to a single-host run or a ``--join`` worker (a batch
+        scheduler pre-empting the job, say) releases the lease like
+        ^C: with max_shard_attempts=1 the resume still quarantines
+        nothing."""
+        spec = small_spec(workloads=("li",))
+        argv = [sys.executable, "-m", "repro", "campaign",
+                "--dir", str(tmp_path), "--max-workers", "1",
+                "--max-shard-attempts", "1"]
+        if join:
+            DistCoordinator(spec, tmp_path, max_workers=1,
+                            max_shard_attempts=1).publish()
+            argv.append("--join")
+        else:
+            argv += ["--workloads", "li", "--policies", "original", "lut-4"]
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        env[DELAY_ENV] = "60"  # the task is in flight when SIGTERM lands
+        layout = CampaignLayout(tmp_path)
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60.0
+            while not layout.lease_path("shard-0000").exists() \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            time.sleep(0.5)  # let the claim finish and the task launch
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 130
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        assert not layout.lease_path("shard-0000").exists()
+        (journal,) = layout.results_dir.iterdir()
+        assert json.loads(journal.read_text().splitlines()[-1])["event"] \
+            == "shard-released"
+
+        result = run_campaign(spec, tmp_path, executor="inline",
+                              resume=True, max_shard_attempts=1)
+        assert result.complete and result.shards_quarantined == 0
+        assert (result.done, result.failed, result.skipped) == (1, 0, 0)
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_old_runner_directory_is_refused(self, tmp_path, resume):
+        """A manifest.jsonl without campaign.json came from the retired
+        single-host runner; resuming onto it would overwrite it."""
+        spec = small_spec(workloads=("li",))
+        path = tmp_path / "manifest.jsonl"
+        write_merged_manifest(path, spec.fingerprint(), spec.to_dict(), {})
+        before = path.read_bytes()
+        with pytest.raises(CampaignError, match="campaign.json"):
+            run_campaign(spec, tmp_path, executor="inline", resume=resume)
+        assert path.read_bytes() == before
 
 
 class TestReportDegradesGracefully:

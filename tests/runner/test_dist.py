@@ -9,7 +9,11 @@ byte-identity against a single-host reference) live in
 """
 
 import json
+import os
 import random
+import socket
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -169,6 +173,16 @@ class TestCoordinatorPublish:
         with pytest.raises(CampaignError, match="executor"):
             DistCoordinator(small_spec(), tmp_path, executor="thread")
 
+    def test_resume_refuses_a_different_shard_size(self, tmp_path):
+        # re-sharding would leave acked shards' cells out of the new
+        # plan's shards: the resume would report complete with cells
+        # never run
+        spec = small_spec(fault_rates=(0.0, 0.1))  # 4 tasks
+        DistCoordinator(spec, tmp_path, shard_size=1).publish()
+        with pytest.raises(CampaignError, match="shard size 1"):
+            DistCoordinator(spec, tmp_path, shard_size=2,
+                            resume=True).publish()
+
 
 class TestWorker:
     def test_worker_times_out_without_a_published_campaign(self, tmp_path):
@@ -200,8 +214,9 @@ class TestWorker:
         result = run_distributed(spec, tmp_path, workers=1, shard_size=1,
                                  executor="inline")
         manifest = CampaignManifest.load(result.manifest_path)
-        assert manifest.fingerprint == spec.fingerprint()
-        assert manifest.completed_ids() == ["li@s1/default/r0"]
+        assert manifest.header["fingerprint"] == spec.fingerprint()
+        assert {tid: rec["status"] for tid, rec in manifest.tasks.items()} \
+            == {"li@s1/default/r0": "done"}
 
     def test_worker_steals_an_expired_lease(self, tmp_path):
         spec = small_spec(workloads=("li",))
@@ -223,6 +238,92 @@ class TestWorker:
         # the winning record ran under the thief's epoch-2 lease
         ack = json.loads(layout.ack_path("shard-0000").read_text())
         assert ack["worker"] == "thief" and ack["epoch"] == 2
+
+    @staticmethod
+    def _dead_lease(path, ttl, **fields):
+        """Write the lease of a process that has exited, as it wrote it
+        (plus ``fields``)."""
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait(timeout=30)
+        try_claim_lease(path, "shard-0000", "killed", "gone", 1, ttl=ttl)
+        lease = dict(read_lease(path), pid=dead.pid, **fields)
+        path.write_text(json.dumps(lease))
+        return lease
+
+    @pytest.mark.skipif(not Path("/proc/self/ns/pid").exists(),
+                        reason="needs /proc to name the PID namespace")
+    def test_lease_of_a_dead_process_is_claimed_at_once(self, tmp_path):
+        """A lease naming a pid that no longer exists in this PID
+        namespace is expired whatever its deadline, so a resume never
+        waits out the ttl of its own killed predecessor."""
+        spec = small_spec(workloads=("li",))
+        DistCoordinator(spec, tmp_path, shard_size=1, executor="inline",
+                        lease_ttl=600).publish()
+        path = CampaignLayout(tmp_path).lease_path("shard-0000")
+        lease = self._dead_lease(path, ttl=600)
+        assert lease["host"] == socket.gethostname()
+        assert lease_expired(lease)
+        assert not lease_expired(dict(lease, pid=os.getpid()))
+        assert not lease_expired(dict(lease, host="another-host"))
+
+        start = time.monotonic()
+        outcome = DistWorker(tmp_path, worker_id="w0",
+                             poll_interval=0.05).run()
+        assert time.monotonic() - start < 60
+        assert outcome.shards_stolen == 1 and outcome.shards_done == 1
+
+    def test_dead_pid_in_another_pid_namespace_waits_for_the_ttl(
+            self, tmp_path, monkeypatch):
+        """Containers (and hosts on one share) can have this hostname
+        but their own pids: such a lease's pid says nothing here, so
+        only its deadline frees it."""
+        from repro.runner import dist as dist_mod
+        claims = []
+
+        def timed_claim(*args, **kwargs):
+            claims.append(time.time())
+            return try_claim_lease(*args, **kwargs)
+
+        monkeypatch.setattr(dist_mod, "try_claim_lease", timed_claim)
+        spec = small_spec(workloads=("li",))
+        DistCoordinator(spec, tmp_path, shard_size=1, executor="inline",
+                        lease_ttl=600).publish()
+        path = CampaignLayout(tmp_path).lease_path("shard-0000")
+        lease = self._dead_lease(path, ttl=1.0,
+                                 pid_namespace="another-boot/4026531836")
+        assert lease["host"] == socket.gethostname()
+        assert not lease_expired(lease)
+        unnamed = {key: value for key, value in lease.items()
+                   if key != "pid_namespace"}
+        assert not lease_expired(unnamed)
+
+        outcome = DistWorker(tmp_path, worker_id="w0",
+                             poll_interval=0.05).run()
+        assert claims and min(claims) >= lease["deadline"]
+        assert outcome.shards_stolen == 1 and outcome.shards_done == 1
+
+    def test_worker_keeps_max_workers_shards_in_flight(self, tmp_path,
+                                                       monkeypatch):
+        from repro.runner import dist as dist_mod
+        stamps = tmp_path / "stamps"
+        stamps.mkdir()
+
+        def timed(task):  # runs in a forked pool child
+            start = time.time()
+            time.sleep(0.5)
+            (stamps / task.workload).write_text(f"{start} {time.time()}")
+            return {"policies": {}}
+
+        monkeypatch.setattr(dist_mod, "execute_task", timed)
+        root = tmp_path / "campaign"
+        DistCoordinator(small_spec(), root, shard_size=1, max_workers=2,
+                        lease_ttl=30).publish()
+        outcome = DistWorker(root, worker_id="w0", poll_interval=0.05).run()
+        assert outcome.shards_done == 2 and outcome.tasks_done == 2
+        (a_start, a_end), (b_start, b_end) = [
+            map(float, path.read_text().split())
+            for path in stamps.iterdir()]
+        assert max(a_start, b_start) < min(a_end, b_end)
 
     def test_poison_shard_is_quarantined(self, tmp_path):
         spec = small_spec(workloads=("li",))
@@ -332,3 +433,18 @@ class TestRunDistributed:
             assert len(journals) == 1
             assert '"event": "shard-done"' in \
                 journals[0].read_text().splitlines()[-1]
+
+    def test_more_workers_than_cores_run_each_cell_once(self, tmp_path):
+        """Four workers (more than this machine's cores) race lazy
+        claims over eight one-task shards: every claim but one per shard
+        loses, so each cell runs exactly once and no lease survives."""
+        spec = small_spec(fault_rates=(0.0, 0.01, 0.02, 0.03))  # 8 tasks
+        start = time.monotonic()
+        result = run_distributed(spec, tmp_path, workers=4, shard_size=1,
+                                 executor="inline", lease_ttl=20,
+                                 timeout=120)
+        assert time.monotonic() - start < 120
+        assert result.complete and result.done == 8
+        assert result.counters["dist.tasks.done"] == 8
+        assert result.counters.get("dist.shards.stolen", 0) == 0
+        assert not list(CampaignLayout(tmp_path).lease_dir.iterdir())

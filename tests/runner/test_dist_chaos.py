@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner.campaign import CampaignSpec
+from repro.runner import CampaignSpec, run_campaign
 from repro.runner.dist import (KILL_ENV, CampaignError, CampaignLayout,
                                run_distributed, shard_ids)
 from repro.runner.manifest import CampaignManifest
@@ -222,6 +222,20 @@ class TestInterruptFinalizesShardManifest:
         assert_exactly_one_surviving_lease(tmp_path)
 
 
+class TestSingleHostIsTheFabric:
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    def test_single_host_run_writes_the_reference_bytes(
+            self, tmp_path, executor, reference_manifest):
+        """A single-host campaign is the fabric with one in-process
+        worker: same merged manifest bytes, same lease invariants."""
+        result = run_campaign(chaos_spec(), tmp_path, executor=executor,
+                              max_workers=2, task_timeout=120.0)
+        assert result.complete and result.done == 4
+        assert result.manifest_path.read_bytes() == reference_manifest
+        assert_exactly_one_surviving_lease(tmp_path)
+        assert_no_temp_droppings(tmp_path)
+
+
 class TestMergedManifestIsCanonical:
     def test_merged_manifest_resumable_by_single_host_runner(
             self, tmp_path):
@@ -232,6 +246,7 @@ class TestMergedManifestIsCanonical:
                                  executor="inline", lease_ttl=20)
         assert result.complete
         manifest = CampaignManifest.load(result.manifest_path)
-        assert manifest.fingerprint == spec.fingerprint()
-        assert sorted(manifest.completed_ids()) == sorted(TASK_IDS)
+        assert manifest.header["fingerprint"] == spec.fingerprint()
+        assert {tid: rec["status"] for tid, rec in manifest.tasks.items()} \
+            == dict.fromkeys(TASK_IDS, "done")
         assert manifest.dropped_lines == 0

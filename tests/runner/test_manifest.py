@@ -1,4 +1,4 @@
-"""Atomic-write helpers and the campaign manifest journal."""
+"""Atomic-write helpers and the merged campaign manifest."""
 
 import json
 import os
@@ -7,7 +7,9 @@ import pytest
 
 from repro.runner.atomic import (atomic_append_jsonl, atomic_write_json,
                                  atomic_write_text)
-from repro.runner.manifest import CampaignManifest, ManifestError
+from repro.runner.manifest import (CampaignManifest, ManifestError,
+                                   RecordMerge, merge_task_records,
+                                   write_merged_manifest)
 
 
 class TestAtomicWrites:
@@ -47,47 +49,60 @@ class TestAtomicWrites:
         assert json.loads(lines[0]) == {"a": 1}
 
 
+def task(task_id, status="done", **fields):
+    record = {"event": "task", "id": task_id, "cell": task_id,
+              "status": status, "attempts": 1, "epoch": 1, "elapsed": 0.1}
+    if status == "done":
+        record["result"] = fields.get("result", {})
+    else:
+        record["error"] = fields.get("error", {"type": "X", "message": ""})
+    return record
+
+
+def write_manifest(path, fingerprint, spec, records):
+    write_merged_manifest(path, fingerprint, spec,
+                          merge_task_records(records))
+
+
 class TestManifest:
-    def test_create_flush_load_round_trip(self, tmp_path):
+    def test_write_load_round_trip(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
-        manifest = CampaignManifest.create(path, "f" * 16, {"workloads": []})
-        manifest.record_done("a", 1, 0.5, {"cycles": 10})
-        manifest.record_failed("b", 2, 1.0, {"type": "TaskTimeout",
-                                             "message": "too slow"})
+        write_manifest(path, "f" * 16, {"workloads": []}, [
+            task("a", result={"cycles": 10}),
+            task("b", "failed", error={"type": "TaskTimeout",
+                                       "message": "too slow"})])
 
         loaded = CampaignManifest.load(path)
-        assert loaded.fingerprint == "f" * 16
+        assert loaded.header["fingerprint"] == "f" * 16
         assert loaded.dropped_lines == 0
-        assert loaded.completed_ids() == ["a"]
-        assert loaded.failed_ids() == ["b"]
-        assert loaded.status_of("a") == "done"
-        assert loaded.status_of("b") == "failed"
-        assert loaded.status_of("c") is None
+        assert {tid: rec["status"] for tid, rec in loaded.tasks.items()} \
+            == {"a": "done", "b": "failed"}
         assert loaded.tasks["a"]["result"]["cycles"] == 10
         assert loaded.tasks["b"]["error"]["type"] == "TaskTimeout"
 
     def test_every_flush_is_a_complete_journal(self, tmp_path):
-        """Each task record lands via a full atomic rewrite — the file on
-        disk is always parseable in its entirety."""
+        """A single-host run rewrites the manifest whole after each task
+        (folding into a RecordMerge) — the file on disk is always
+        parseable in its entirety."""
         path = tmp_path / "manifest.jsonl"
-        manifest = CampaignManifest.create(path, "abcd", {})
+        merge = RecordMerge()
         for n in range(5):
-            manifest.record_done(f"t{n}", 1, 0.1, {})
+            assert merge.fold(task(f"t{n}"))
+            write_merged_manifest(path, "abcd", {}, merge.canonical)
             records = [json.loads(line)
                        for line in path.read_text().splitlines()]
             assert records[0]["event"] == "campaign"
             assert len(records) == n + 2
+            assert len(CampaignManifest.load(path).tasks) == n + 1
 
     def test_load_drops_corrupt_trailing_line(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
-        manifest = CampaignManifest.create(path, "abcd", {})
-        manifest.record_done("a", 1, 0.1, {})
+        write_manifest(path, "abcd", {}, [task("a")])
         with open(path, "a") as handle:
             handle.write('{"event": "task", "id": "b", "stat')  # torn write
         loaded = CampaignManifest.load(path)
         assert loaded.dropped_lines == 1
-        assert loaded.completed_ids() == ["a"]
-        assert loaded.status_of("b") is None
+        assert list(loaded.tasks) == ["a"]
 
     def test_load_rejects_missing_header(self, tmp_path):
         path = tmp_path / "notamanifest.jsonl"
@@ -106,16 +121,9 @@ class TestManifest:
         with pytest.raises(ManifestError, match="cannot read"):
             CampaignManifest.load(tmp_path / "absent.jsonl")
 
-    def test_forget_allows_retry(self, tmp_path):
-        path = tmp_path / "manifest.jsonl"
-        manifest = CampaignManifest.create(path, "abcd", {})
-        manifest.record_failed("a", 2, 0.1, {"type": "X", "message": ""})
-        manifest.forget("a")
-        assert manifest.status_of("a") is None
-
     def test_no_temp_files_next_to_manifest(self, tmp_path):
         path = tmp_path / "manifest.jsonl"
-        manifest = CampaignManifest.create(path, "abcd", {})
         for n in range(3):
-            manifest.record_done(f"t{n}", 1, 0.1, {})
+            write_manifest(path, "abcd", {}, [task(f"t{m}")
+                                              for m in range(n + 1)])
         assert os.listdir(tmp_path) == ["manifest.jsonl"]

@@ -235,6 +235,48 @@ class TestCli:
         assert code == 1
         assert "FAILED" in output and "DeadlockDetected" in output
 
+    def test_campaign_retry_failed_with_local_workers(self, capsys,
+                                                      tmp_path,
+                                                      monkeypatch):
+        from repro.runner.pool import CRASH_ENV
+        argv = ["campaign", "--dir", str(tmp_path / "camp"),
+                "--workloads", "li", "--policies", "original",
+                "--workers", "1", "--retries", "0"]
+        monkeypatch.setenv(CRASH_ENV, "li@")
+        code, output = run_cli(capsys, *argv)
+        assert code == 1 and "WorkerCrashed" in output
+        monkeypatch.delenv(CRASH_ENV)
+        code, output = run_cli(capsys, *argv, "--resume", "--retry-failed")
+        assert code == 0
+        assert "1 done, 0 failed, 0 already journaled" in output
+
+    def test_campaign_shard_size_applies_single_host(self, capsys,
+                                                    tmp_path, monkeypatch):
+        """A campaign published with --workers and --shard-size 2 resumes
+        single-host with the same --shard-size (one two-cell shard:
+        compress is skipped, li re-runs)."""
+        from repro.runner.pool import CRASH_ENV
+        argv = ["campaign", "--dir", str(tmp_path / "camp"),
+                "--workloads", "compress", "li", "--policies", "original",
+                "--retries", "0", "--shard-size", "2"]
+        monkeypatch.setenv(CRASH_ENV, "li@")
+        code, output = run_cli(capsys, *argv, "--workers", "1")
+        assert code == 1 and "1/1 shards" in output
+        monkeypatch.delenv(CRASH_ENV)
+        code, output = run_cli(capsys, *argv, "--resume", "--retry-failed")
+        assert code == 0
+        assert "2 done, 0 failed, 1 already journaled" in output
+
+    @pytest.mark.parametrize("mode", [["--workers", "1"], ["--join"]])
+    def test_campaign_limit_is_single_host_only(self, capsys, tmp_path,
+                                                mode):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["campaign", "--dir", str(tmp_path / "camp"),
+                  "--workloads", "li", "--limit", "1", *mode])
+        assert exc_info.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+        assert not (tmp_path / "camp").exists()
+
     def test_version(self, capsys):
         from repro import __version__
         with pytest.raises(SystemExit) as exc_info:
