@@ -573,7 +573,7 @@ def cmd_serve(args) -> int:
     config = ServerConfig(
         host=args.host, port=args.port, cache_dir=args.cache_dir,
         executor=args.executor, max_workers=args.max_workers,
-        max_batch=args.max_batch, queue_limit=args.queue_limit,
+        queue_limit=args.queue_limit,
         request_timeout=args.timeout, drain_grace=args.drain_grace,
         allow_delay=args.allow_delay,
         allowed_policies=tuple(args.policies or ()))
@@ -866,12 +866,12 @@ def build_parser() -> argparse.ArgumentParser:
                         " cross-process coalescing via TraceCacheLock)")
     p.add_argument("--executor", choices=["pool", "inline"],
                    default="pool",
-                   help="pool: crash-isolated process pool (default);"
-                        " inline: threads in this process")
+                   help="pool: each evaluation in a forked, crash-isolated"
+                        " child (default); inline: the same path in this"
+                        " process, without isolation")
     p.add_argument("--max-workers", type=int, default=2,
-                   help="concurrent evaluations (pool width)")
-    p.add_argument("--max-batch", type=int, default=32,
-                   help="max admitted items per pool batch")
+                   help="evaluations that run at once, however requests"
+                        " arrive")
     p.add_argument("--queue-limit", type=int, default=64,
                    help="max distinct evaluations in flight before 429")
     p.add_argument("--timeout", type=float, default=300.0,

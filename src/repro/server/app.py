@@ -35,12 +35,12 @@ import json
 import os
 import signal
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..telemetry import MetricsRegistry, format_metrics
-from .executor import ExecutionError, evaluate_request, make_executor
+from .executor import EvalExecutor, ExecutionError, build_programs
 from .protocol import (EvalRequest, ProtocolError, etag_for, parse_request,
                        request_key)
 
@@ -69,7 +69,6 @@ class ServerConfig:
     cache_dir: Optional[str] = None
     executor: str = "pool"
     max_workers: int = 2
-    max_batch: int = 32
     queue_limit: int = 64
     request_timeout: float = 300.0
     drain_grace: float = 30.0
@@ -80,14 +79,6 @@ class ServerConfig:
     #: deployment cap on per-request work ('original' is always allowed;
     #: it is the baseline every request carries)
     allowed_policies: Tuple[str, ...] = ()
-
-
-@dataclass
-class _InFlight:
-    """One single-flight entry: the leader's future plus accounting."""
-
-    future: "asyncio.Future[Dict[str, Any]]"
-    waiters: int = 0
 
 
 @dataclass
@@ -114,11 +105,11 @@ class EvalServer:
         self.config = config or ServerConfig()
         self.registry = registry if registry is not None \
             else MetricsRegistry()
-        self.executor = make_executor(self.config.executor,
-                                      self.config.max_workers,
-                                      self.config.request_timeout,
-                                      self.config.max_batch)
-        self._inflight: Dict[str, _InFlight] = {}
+        self.executor = EvalExecutor(self.config.executor,
+                                     self.config.max_workers,
+                                     self.config.request_timeout)
+        #: single flight: each key being evaluated -> the leader's future
+        self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self._responses: "OrderedDict[str, bytes]" = OrderedDict()
         self._key_cache: "OrderedDict[Tuple, str]" = OrderedDict()
         self._server: Optional[asyncio.base_events.Server] = None
@@ -168,15 +159,8 @@ class EvalServer:
 
     def begin_drain(self) -> None:
         """Stop admitting evaluations; finish what is in flight."""
-        if self._draining:
-            return
         self._draining = True
-        if not self._inflight and self._open_requests == 0:
-            self._drained.set()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
+        self._maybe_drained()
 
     async def serve_until_drained(self) -> None:
         """Serve until a drain completes (SIGTERM/SIGINT or
@@ -185,8 +169,8 @@ class EvalServer:
         await self._drained.wait()
         grace = self.config.drain_grace
         if self._inflight:
-            waiting = [entry.future for entry in self._inflight.values()]
-            await asyncio.wait(waiting, timeout=grace)
+            await asyncio.wait(list(self._inflight.values()),
+                               timeout=grace)
         await self.close()
 
     async def close(self) -> None:
@@ -210,17 +194,24 @@ class EvalServer:
                 except (asyncio.TimeoutError, asyncio.IncompleteReadError,
                         ConnectionError):
                     return
-                if request is None:
-                    return
-                self._open_requests += 1
+                except _HttpError as exc:
+                    # nothing after a request that cannot be framed can
+                    # be parsed: answer it, then close the connection
+                    self._c_requests.inc()
+                    self._count_status(exc.status)
+                    request = _HttpRequest("", "", {}, b"", close=True)
+                    reply = exc.status, {}, _json_error(exc.message)
+                else:
+                    if request is None:
+                        return
+                    self._open_requests += 1
+                    try:
+                        reply = await self._dispatch(request)
+                    finally:
+                        self._open_requests -= 1
+                        self._maybe_drained()
                 try:
-                    status, headers, body = await self._dispatch(request)
-                finally:
-                    self._open_requests -= 1
-                    self._maybe_drained()
-                try:
-                    await self._write_response(writer, request, status,
-                                               headers, body)
+                    await self._write_response(writer, request, *reply)
                 except (ConnectionError, asyncio.CancelledError):
                     return
                 if request.close:
@@ -237,7 +228,7 @@ class EvalServer:
 
     async def _read_request(self, reader: asyncio.StreamReader
                             ) -> Optional[_HttpRequest]:
-        line = await reader.readline()
+        line = await _readline(reader)
         if not line:
             return None
         if len(line) > MAX_HEADER_BYTES:
@@ -249,7 +240,7 @@ class EvalServer:
         headers: Dict[str, str] = {}
         total = 0
         while True:
-            line = await reader.readline()
+            line = await _readline(reader)
             total += len(line)
             if total > MAX_HEADER_BYTES:
                 raise _HttpError(400, "headers too long")
@@ -257,7 +248,10 @@ class EvalServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _HttpError(400, f"malformed Content-Length: {declared!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
@@ -297,6 +291,10 @@ class EvalServer:
             status, headers, body = 500, {}, _json_error(
                 f"internal error: {type(exc).__name__}: {exc}")
         self._h_latency.observe((loop.time() - started) * 1000.0)
+        self._count_status(status)
+        return status, headers, body
+
+    def _count_status(self, status: int) -> None:
         if status == 304:
             self._c_304.inc()
         elif status < 300:
@@ -305,7 +303,6 @@ class EvalServer:
             self._c_4xx.inc()
         else:
             self._c_5xx.inc()
-        return status, headers, body
 
     async def _route(self, request: _HttpRequest
                      ) -> Tuple[int, Dict[str, str], bytes]:
@@ -372,11 +369,10 @@ class EvalServer:
         self._c_misses.inc()
 
         # rung 3: single flight
-        entry = self._inflight.get(key)
-        if entry is not None:
-            entry.waiters += 1
+        leader = self._inflight.get(key)
+        if leader is not None:
             self._c_coalesced.inc()
-            return await self._await_result(key, entry.future, base_headers,
+            return await self._await_result(key, leader, base_headers,
                                             coalesced=True)
         if self._draining:
             self._c_rejected_drain.inc()
@@ -390,7 +386,7 @@ class EvalServer:
                             f" flight); retry after Retry-After seconds")
 
         future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = _InFlight(future=future)
+        self._inflight[key] = future
         self._g_queue.set(len(self._inflight))
         self._g_inflight.high_water(len(self._inflight))
         self._c_executions.inc()
@@ -405,14 +401,12 @@ class EvalServer:
         payload["key"] = key
         try:
             result = await self.executor.submit(key, payload)
-        except ExecutionError as exc:
-            self._c_failures.inc()
-            if not future.done():
-                future.set_exception(exc)
         except Exception as exc:  # noqa: BLE001 - executor boundary
+            # a failed evaluation, or a thread that could not start
             self._c_failures.inc()
             if not future.done():
                 future.set_exception(
+                    exc if isinstance(exc, ExecutionError) else
                     ExecutionError({"type": type(exc).__name__,
                                     "message": str(exc)}))
         else:
@@ -474,7 +468,6 @@ class EvalServer:
         if parsed.synthetic:
             fingerprints: List[str] = []
         else:
-            from .executor import build_programs
             loop = asyncio.get_running_loop()
             programs = await loop.run_in_executor(None, build_programs,
                                                   parsed)
@@ -510,6 +503,13 @@ class EvalServer:
             "draining": self._draining,
         }
         return snapshot
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # longer than the stream reader's buffer limit
+        raise _HttpError(400, "header line too long") from None
 
 
 def _json_bytes(payload: Any) -> bytes:

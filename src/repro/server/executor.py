@@ -1,18 +1,20 @@
 """Evaluation execution for the server: the work behind a cache miss.
 
-Two executors share one worker contract (``_eval_worker(payload) ->
-response dict``):
-
-* :class:`PoolBatchExecutor` — the production path.  A dispatcher
-  thread drains the admitted-work queue in *batches* and runs each
-  batch on a :class:`~repro.runner.pool.ProcessTaskPool`, so the
-  server inherits the pool's crash isolation, per-task SIGKILL
-  timeouts, and bounded parallelism.  One batch is one ``pool.run``;
-  results land back on the event loop as each task completes.
-* :class:`InlineExecutor` — in-process evaluation on a thread, bounded
-  by a semaphore.  No crash isolation, but tests can monkeypatch
-  module state (e.g. a counting ``Simulator``) and have the evaluation
-  observe it, and platforms without ``fork`` get a fallback.
+There is one executor, :class:`EvalExecutor`.  A miss waits on the
+event loop, holding no thread, for one of ``max_workers`` slots, then
+runs as a one-task :meth:`~repro.runner.pool.ProcessTaskPool.run` on
+a daemon thread of its own; the task's ``on_done``/``on_failed``
+settles the request's future.  So ``max_workers`` evaluations run at
+once however the requests arrive, and a miss never waits behind
+another request's evaluation while a slot is free.  With
+``kind="pool"`` (the default) the task runs in a forked child, so the
+server inherits the pool's crash isolation and per-task SIGKILL
+timeout; ``kind="inline"`` passes ``executor="inline"`` to the pool
+and runs the same path in this process, where tests can monkeypatch
+module state (e.g. a counting ``Simulator``) and have the evaluation
+observe it.  A launch that fails (``OSError``: fork ``EAGAIN``, no
+file descriptors) fails that request with a 500 like any other
+failed evaluation.
 
 The evaluation itself (:func:`evaluate_request`) is the CLI's own
 figure-4 driver against the server's shared trace cache.  That driver
@@ -26,15 +28,14 @@ simulations and cache hits.
 from __future__ import annotations
 
 import asyncio
-import queue
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from ..analysis.energy import (Figure4Result, run_figure4,
                                run_figure4_synthetic)
 from ..analysis.report import render_figure4
-from ..runner.pool import PoolItem, ProcessTaskPool
+from ..runner.pool import PoolItem, ProcessTaskPool, error_payload
 from ..workloads import workload
 from .protocol import EvalRequest, request_key
 
@@ -87,11 +88,11 @@ def _render_result(request: EvalRequest, key: str,
 
 
 def evaluate_request(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one evaluation; the worker entry for every executor.
+    """Run one evaluation; the worker of every evaluation's pool.
 
     ``payload`` is ``request.to_payload()`` plus ``cache_dir`` (may be
-    None) and ``key``.  Runs in a pool child process or an inline
-    thread; must stay picklable-in, picklable-out.
+    None) and ``key``.  Runs in a pool child process or, inline, on the
+    evaluation's thread; must stay picklable-in, picklable-out.
     """
     payload = dict(payload)
     cache_dir = payload.pop("cache_dir", None)
@@ -132,147 +133,85 @@ class ExecutionError(RuntimeError):
         self.error = error
 
 
-class InlineExecutor:
-    """Run evaluations on threads in this process, ``max_workers`` at
-    a time.  No crash isolation — for tests and fork-less platforms."""
+class EvalExecutor:
+    """Run each evaluation as its own one-task pool run, ``max_workers``
+    at a time (see the module docstring)."""
 
-    kind = "inline"
-
-    def __init__(self, max_workers: int = 2, task_timeout: float = 600.0):
+    def __init__(self, kind: str = "pool", max_workers: int = 2,
+                 task_timeout: float = 600.0):
+        if kind not in ("pool", "inline"):
+            raise ValueError(
+                f"executor must be 'pool' or 'inline', not '{kind}'")
+        self.kind = kind
         self.max_workers = max(1, max_workers)
-        # the per-request timeout is enforced by the server's wait_for;
-        # kept here so both executors expose the same knobs
         self.task_timeout = task_timeout
-        self._semaphore: Optional[asyncio.Semaphore] = None
+        self._slots: Optional[asyncio.Semaphore] = None
+        self._threads: Set[threading.Thread] = set()
 
     async def submit(self, key: str, payload: Dict[str, Any]
                      ) -> Dict[str, Any]:
-        if self._semaphore is None:
-            self._semaphore = asyncio.Semaphore(self.max_workers)
-        async with self._semaphore:
+        # made on first use: Python 3.9 binds a Semaphore to the event
+        # loop current when it is constructed
+        if self._slots is None:
+            self._slots = asyncio.Semaphore(self.max_workers)
+        async with self._slots:
             loop = asyncio.get_running_loop()
+            future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
+            thread = threading.Thread(
+                target=self._evaluate, args=(key, payload, loop, future),
+                name="repro-server-evaluation", daemon=True)
+            thread.start()
+            self._threads.add(thread)
             try:
-                return await loop.run_in_executor(
-                    None, evaluate_request, payload)
-            except Exception as exc:  # noqa: BLE001 - boundary
-                raise ExecutionError({"type": type(exc).__name__,
-                                      "message": str(exc)}) from exc
+                return await future
+            finally:
+                self._threads.discard(thread)
 
-    def close(self) -> None:
-        pass
-
-
-class PoolBatchExecutor:
-    """Batch admitted work through a crash-isolated process pool.
-
-    A single dispatcher thread blocks on the work queue, drains up to
-    ``max_batch`` waiting items, and runs them as one
-    :meth:`ProcessTaskPool.run` batch — so concurrent distinct requests
-    ride one pool invocation (``max_workers``-wide) instead of paying
-    pool startup per request.  Completion callbacks hop back onto the
-    event loop with ``call_soon_threadsafe``.
-    """
-
-    kind = "pool"
-
-    def __init__(self, max_workers: int = 2, task_timeout: float = 600.0,
-                 max_batch: int = 32):
-        self.max_workers = max(1, max_workers)
-        self.task_timeout = task_timeout
-        self.max_batch = max(1, max_batch)
-        self._pool = ProcessTaskPool(evaluate_request,
-                                     max_workers=self.max_workers,
-                                     task_timeout=task_timeout,
-                                     retries=0)
-        self._queue: "queue.Queue[Optional[Tuple[str, Dict[str, Any], Any, asyncio.AbstractEventLoop]]]" = queue.Queue()
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-        self.batches = 0
-        self.batched_items = 0
-
-    async def submit(self, key: str, payload: Dict[str, Any]
-                     ) -> Dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
-        self._ensure_thread()
-        self._queue.put((key, payload, future, loop))
-        return await future
-
-    def _ensure_thread(self) -> None:
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(target=self._drain,
-                                            name="repro-server-executor",
-                                            daemon=True)
-            self._thread.start()
-
-    def _drain(self) -> None:
-        while not self._closed:
-            item = self._queue.get()
-            if item is None:
-                return
-            batch = [item]
-            while len(batch) < self.max_batch:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is None:
-                    self._closed = True
-                    break
-                batch.append(extra)
-            self._run_batch(batch)
-
-    def _run_batch(self, batch) -> None:
-        self.batches += 1
-        self.batched_items += len(batch)
-        waiters = {}
-        items = []
-        for index, (key, payload, future, loop) in enumerate(batch):
-            # index-suffixed so two admitted items for one key (possible
-            # across response-cache evictions) stay distinct pool tasks
-            task_key = f"{key}#{index}"
-            waiters[task_key] = (future, loop)
-            items.append(PoolItem(key=task_key, payload=payload))
-
-        def _resolve(task_key: str, action) -> None:
-            future, loop = waiters[task_key]
+    def _evaluate(self, key: str, payload: Dict[str, Any],
+                  loop: asyncio.AbstractEventLoop,
+                  future: "asyncio.Future[Dict[str, Any]]") -> None:
+        """The evaluation thread.  Each evaluation gets its own pool: the
+        traced benchmark swaps ``pool.worker`` for the length of each
+        ``run`` call."""
+        def settle(outcome: Any) -> None:
             try:
-                loop.call_soon_threadsafe(action, future)
+                loop.call_soon_threadsafe(_settle, future, outcome)
             except RuntimeError:
                 pass  # event loop already closed (server shutdown)
 
-        def on_done(item: PoolItem, _elapsed: float, result) -> None:
-            def _set(future: "asyncio.Future") -> None:
-                if not future.done():
-                    future.set_result(result)
-            _resolve(item.key, _set)
-
-        def on_failed(item: PoolItem, _elapsed: float, error) -> None:
-            def _set(future: "asyncio.Future") -> None:
-                if not future.done():
-                    future.set_exception(ExecutionError(error))
-            _resolve(item.key, _set)
-
-        self._pool.run(items, on_done, on_failed)
+        pool = ProcessTaskPool(
+            evaluate_request, max_workers=1, task_timeout=self.task_timeout,
+            retries=0,
+            executor="inline" if self.kind == "inline" else "process")
+        try:
+            pool.run([PoolItem(key=key, payload=payload)],
+                     lambda _item, _elapsed, result: settle(result),
+                     lambda _item, _elapsed, error: settle(
+                         ExecutionError(error)))
+        except OSError as exc:  # the launch failed: fork EAGAIN, no fds
+            settle(ExecutionError(error_payload(exc)))
+        finally:
+            # a no-op once an outcome is settled; otherwise the pool
+            # raised something unexpected, which the thread reports
+            settle(ExecutionError({
+                "type": "ExecutorError",
+                "message": "the evaluation ended without an outcome"}))
 
     def close(self) -> None:
-        self._closed = True
-        self._queue.put(None)
-        if self._thread is not None and self._thread.is_alive():
-            self._thread.join(timeout=5)
+        """Wait at most 5 s in all for running evaluations."""
+        deadline = time.monotonic() + 5.0
+        for thread in list(self._threads):
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
-def make_executor(kind: str, max_workers: int, task_timeout: float,
-                  max_batch: int = 32):
-    if kind == "inline":
-        return InlineExecutor(max_workers=max_workers,
-                              task_timeout=task_timeout)
-    if kind == "pool":
-        return PoolBatchExecutor(max_workers=max_workers,
-                                 task_timeout=task_timeout,
-                                 max_batch=max_batch)
-    raise ValueError(f"executor must be 'pool' or 'inline', not '{kind}'")
+def _settle(future: "asyncio.Future[Dict[str, Any]]", outcome: Any) -> None:
+    if future.done():  # settled already, or its waiter was cancelled
+        return
+    if isinstance(outcome, ExecutionError):
+        future.set_exception(outcome)
+    else:
+        future.set_result(outcome)
 
 
-__all__ = ["ExecutionError", "InlineExecutor", "PoolBatchExecutor",
-           "build_programs", "evaluate_request", "make_executor"]
+__all__ = ["EvalExecutor", "ExecutionError", "build_programs",
+           "evaluate_request"]

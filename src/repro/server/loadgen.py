@@ -403,7 +403,7 @@ def run_from_args(args, serve_args: Sequence[str] = ()) -> int:
     try:
         if args.drain_check:
             process, host, port = spawn_server(
-                ("--executor", "inline", "--allow-delay", *serve_args))
+                ("--allow-delay", *serve_args))
             result = asyncio.run(run_drain_check(host, port, process.pid,
                                                  process))
             summary: Dict[str, Any] = {"drain_check": result}

@@ -214,9 +214,9 @@ def test_drain_finishes_inflight_and_rejects_new():
     serve(inline_config(allow_delay=True), scenario)
 
 
-def test_pool_executor_serves_and_batches():
-    """The production executor: evaluations run in forked pool workers,
-    concurrent distinct requests ride one batch."""
+def test_pool_executor_serves():
+    """The production executor: evaluations run in forked pool
+    workers, and concurrent distinct requests each get their own."""
     async def scenario(server, client):
         others = [Client(*server.address) for _ in range(3)]
         payloads = [dict(SYNTH, seed=i) for i in range(4)]
@@ -224,9 +224,115 @@ def test_pool_executor_serves_and_batches():
             post(c, p, timeout=60.0)
             for c, p in zip([client, *others], payloads)))
         assert [s.status for s in samples] == [200] * 4
+        assert [s.headers["x-cache"] for s in samples] == ["computed"] * 4
         assert len({s.headers["x-request-key"] for s in samples}) == 4
         for other in others:
             await other.close()
-        assert server.executor.batches >= 1
-        assert server.executor.batched_items == 4
     serve(ServerConfig(executor="pool", max_workers=2), scenario)
+
+
+@pytest.mark.parametrize("executor,max_workers",
+                         [("pool", 2), ("inline", 2), ("pool", 1)])
+def test_staggered_misses_use_every_worker(executor, max_workers):
+    """A miss that arrives while another evaluates starts on a free
+    worker at once; with one worker it waits for the slot."""
+    async def scenario(server, client):
+        loop = asyncio.get_running_loop()
+        b_client, c_client = Client(*server.address), \
+            Client(*server.address)
+
+        async def answered(sender, payload):
+            sample = await post(sender, payload, timeout=30.0)
+            return sample.status, loop.time()
+
+        try:
+            a = asyncio.ensure_future(
+                answered(client, dict(SYNTH, delay_ms=1500)))
+            await asyncio.sleep(0.3)
+            b = await answered(b_client, dict(SYNTH, seed=101))
+            c = await answered(c_client, dict(SYNTH, seed=102))
+            return await a, b, c
+        finally:
+            await b_client.close()
+            await c_client.close()
+
+    (a_status, a_at), (b_status, b_at), (c_status, c_at) = serve(
+        ServerConfig(executor=executor, max_workers=max_workers,
+                     allow_delay=True), scenario)
+    assert a_status == b_status == c_status == 200
+    if max_workers == 2:
+        assert b_at < a_at and c_at < a_at
+    else:
+        assert b_at > a_at
+
+
+def test_failed_launch_answers_500_and_frees_its_key(monkeypatch):
+    """A fork that fails (EAGAIN) fails its one request; the key, the
+    in-flight map and the drain are left as if it had never run."""
+    from repro.runner.pool import ProcessTaskPool
+    launch = ProcessTaskPool._launch
+    failed = []
+
+    def launch_failing_once(self, item):
+        if not failed:
+            failed.append(item.key)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return launch(self, item)
+
+    monkeypatch.setattr(ProcessTaskPool, "_launch", launch_failing_once)
+
+    async def scenario(server, client):
+        first = await post(client, SYNTH, timeout=30.0)
+        assert first.status == 500
+        assert b"BlockingIOError" in first.body
+        retry = await post(client, SYNTH, timeout=30.0)
+        assert retry.status == 200
+        assert retry.headers["x-cache"] == "computed"
+        health = await client.request("GET", "/healthz")
+        assert json.loads(health.body)["inflight"] == 0
+        server.begin_drain()
+        await asyncio.wait_for(server.serve_until_drained(), 5.0)
+        assert len(failed) == 1
+    serve(ServerConfig(executor="pool", request_timeout=5), scenario)
+
+
+#: the server's stream reader buffers at most this much of one line
+_STREAM_LIMIT = 1 << 16
+
+_UNFRAMEABLE = [
+    (b"GARBAGE\r\n", 400),
+    (b"POST /v1/evaluate HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+    (b"POST /v1/evaluate HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+    (b"POST /v1/evaluate HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
+     413),
+    # 33 lines of 1012 bytes pass the 32 KiB header limit on the last
+    (b"GET /healthz HTTP/1.1\r\n"
+     + b"".join(b"X-Pad-%02d: %s\r\n" % (i, b"a" * 1000)
+                for i in range(33)), 400),
+    (b"GET /healthz HTTP/1.1\r\nX-Pad: "
+     + b"a" * (_STREAM_LIMIT + 1 - len(b"X-Pad: ")), 400),
+]
+
+
+def test_unframeable_requests_get_their_status_and_close():
+    """Each is answered with its status and ``Connection: close``, then
+    the connection ends.  Every case ends where the server stops
+    reading: unread bytes would turn its close into a reset, which can
+    drop the answer before the client reads it."""
+    async def scenario(server, client):
+        for raw, status in _UNFRAMEABLE:
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(raw)
+            await writer.drain()
+            response = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            await writer.wait_closed()
+            head, _, body = response.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0].split()[1] == str(status), (raw[:40], lines)
+            assert "Connection: close" in lines
+            assert "error" in json.loads(body)
+        counters = server.registry.counter_values()
+        assert counters["server.http.4xx"] == len(_UNFRAMEABLE)
+        assert counters["server.http.requests"] == len(_UNFRAMEABLE)
+    serve(inline_config(), scenario)
