@@ -80,7 +80,12 @@ from .columns import (F_HW_SWAP, F_SPEC, NUMPY_DTYPES, PackedColumns,
 #: popcount of every 16-bit value; the array kernels index it lane by
 #: lane, while on 3.10+ ``int.bit_count`` beats the double lookup, so
 #: the scalar kernel takes whichever is faster for the interpreter.
-POPCOUNT16 = bytes(bin(value).count("1") for value in range(1 << 16))
+#: Entry ``hi * 256 + lo`` is popcount(hi) + popcount(lo), built from a
+#: 256-entry byte table (a 65,536-step Python loop cost every import
+#: about 28 ms).
+_POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                      axis=1).sum(axis=1, dtype=np.uint8)
+POPCOUNT16 = (_POP8[:, None] + _POP8).tobytes()
 
 #: POPCOUNT16 as an indexable ndarray (zero-copy view of the bytes)
 _POP16 = np.frombuffer(POPCOUNT16, dtype=np.uint8)

@@ -42,7 +42,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .analysis.bit_patterns import BitPatternCollector
 from .analysis.energy import run_figure4, run_figure4_synthetic
@@ -104,17 +104,20 @@ def _job_count(value: str) -> int:
     return jobs
 
 
-def _cache_limit(value: str) -> float:
-    """argparse type for ``--cache-limit-mb``: a finite size of at least
-    0 (0 empties the cache of everything this run did not use)."""
-    try:
-        limit = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: '{value}'")
-    if not math.isfinite(limit) or limit < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite size of at least 0, not {value}")
-    return limit
+def _at_least_zero(what: str) -> Callable[[str], float]:
+    """argparse type: a finite ``what`` of at least 0 (``nan``, ``inf``
+    and negative values exit 2 at parse time)."""
+    def parse(value: str) -> float:
+        try:
+            number = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid float value: '{value}'")
+        if not math.isfinite(number) or number < 0:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {what} of at least 0, not {value}")
+        return number
+    return parse
 
 
 def _selected_workloads(names: Optional[List[str]]):
@@ -650,7 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir",
                    help="content-addressed trace cache: record streams on"
                         " miss, replay instead of simulating on hit")
-    p.add_argument("--cache-limit-mb", type=_cache_limit, default=None,
+    p.add_argument("--cache-limit-mb", type=_at_least_zero("size"),
+                   default=None,
                    help="prune the trace cache LRU-style past this size"
                         " after the run (entries this run used are never"
                         " evicted)")
@@ -876,8 +880,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max distinct evaluations in flight before 429")
     p.add_argument("--timeout", type=float, default=300.0,
                    help="per-request evaluation timeout (seconds)")
-    p.add_argument("--drain-grace", type=float, default=30.0,
-                   help="seconds SIGTERM waits for in-flight work")
+    p.add_argument("--drain-grace", type=_at_least_zero("duration"),
+                   default=30.0,
+                   help="seconds SIGTERM waits for in-flight work; when"
+                        " they expire, open connections are closed"
+                        " unanswered and the server exits")
     p.add_argument("--allow-delay", action="store_true",
                    help="honour the test-only delay_ms request field")
     p.add_argument("--policies", nargs="*", type=_policy_kind,

@@ -15,8 +15,10 @@ recoverable, tested event:
   order — see :class:`~repro.runner.manifest.RecordMerge`);
 * **workers** (:class:`DistWorker`) hand every task of the unfinished
   shards to one :class:`~repro.runner.pool.ProcessTaskPool` run, which
-  keeps ``max_workers`` tasks in flight (or runs them inline).  Just
-  before a task launches, the worker claims its shard under a
+  keeps ``max_workers`` tasks in flight (or runs them inline), in
+  stream order: the cell that records each shared trace-cache stream
+  launches before the cells that replay it.  Just before a task
+  launches, the worker claims its shard under a
   time-limited lease (`O_CREAT|O_EXCL`, so exactly one claim wins),
   renews it from a heartbeat thread, and appends every outcome to that
   lease's own shard manifest via the atomic write-temp-then-rename
@@ -157,6 +159,32 @@ def shard_tasks(spec: CampaignSpec, shard_size: int) -> List[List[TaskSpec]]:
     size = max(1, shard_size)
     tasks = spec.tasks()
     return [tasks[start:start + size] for start in range(0, len(tasks), size)]
+
+
+def _launch_order(shards: Dict[str, Sequence[TaskSpec]]) -> List[str]:
+    """The ids of ``shards`` (given in grid order) in launch order.
+
+    A shard's stream is its first cell's: cells with the same workload,
+    scale, config overrides and FU share one recorded trace-cache
+    stream, whatever their policies or fault rate (see
+    ``execute_task``).  Within a stream, shards whose first cell
+    injects faults rank first: such a cell replays on the object path
+    even on a cache hit, so it is the one that should record, with its
+    evaluators riding the live pass, while a clean cell that hits runs
+    the batch kernels.  Every stream's rank-0 shard launches before any
+    stream's rank-1 shard (ties in grid order), so each shared stream
+    is recorded once and its other cells launch after it is published,
+    without waiting on the lock.
+    """
+    rank: Dict[str, int] = {}
+    seen: Counter = Counter()
+    for sid in sorted(shards, key=lambda sid: not shards[sid][0].fault_rate):
+        first = shards[sid][0]
+        stream = (first.workload, first.scale,
+                  json.dumps(first.config, sort_keys=True), first.fu)
+        rank[sid] = seen[stream]
+        seen[stream] += 1
+    return sorted(shards, key=rank.__getitem__)
 
 
 # ----- leases -----------------------------------------------------------------
@@ -441,7 +469,8 @@ class DistWorker:
                   fingerprint: str) -> bool:
         """Hand every task of the claimable shards to one pool run.
 
-        Shards are claimed lazily, just before their first task
+        Shards go in :func:`_launch_order`, each one's tasks in grid
+        order.  Shards are claimed lazily, just before their first task
         launches, so the pool keeps ``max_workers`` shards in flight
         without hoarding leases.  Returns False when nothing was claimed
         or quarantined.
@@ -449,7 +478,8 @@ class DistWorker:
         items: List[PoolItem] = []
         shard_of: Dict[str, str] = {}
         now = time.monotonic()
-        for sid, tasks in remaining.items():
+        for sid in _launch_order(remaining):
+            tasks = remaining[sid]
             lease = read_lease(self.layout.lease_path(sid))
             if not lease_expired(lease):
                 continue

@@ -102,6 +102,10 @@ class _Running:
 def _child_main(worker: Callable[[Any], Any], key: str, payload: Any,
                 conn) -> None:
     """Worker process entry: run one task, ship the outcome back."""
+    # a forked child inherits its parent's SIGTERM handler (the
+    # server's drain, a campaign worker's ^C); restore the default so
+    # that ``terminate()``, e.g. of a daemon child at exit, ends it
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         delay = float(os.environ.get(DELAY_ENV, "0") or 0)
         if delay > 0:

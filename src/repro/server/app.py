@@ -20,7 +20,9 @@ Backpressure: admission is bounded by the number of distinct
 evaluations in flight (coalesced waiters are free); past the limit the
 server answers ``429`` with ``Retry-After``.  ``SIGTERM``/``SIGINT``
 begin a graceful drain — in-flight work finishes and is delivered,
-new evaluations are refused with ``429``.
+new evaluations are refused with ``429``.  Work still running when
+``drain_grace`` expires is abandoned: every open connection is closed
+unanswered and the server exits.
 
 Every decision increments a counter or moves a gauge in a
 :class:`~repro.telemetry.metrics.MetricsRegistry`, served at
@@ -36,7 +38,7 @@ import os
 import signal
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .. import __version__
 from ..telemetry import MetricsRegistry, format_metrics
@@ -113,10 +115,10 @@ class EvalServer:
         self._responses: "OrderedDict[str, bytes]" = OrderedDict()
         self._key_cache: "OrderedDict[Tuple, str]" = OrderedDict()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._draining = False
+        self._draining = asyncio.Event()
         self._drained = asyncio.Event()
         self._open_requests = 0
-        self._connections = 0
+        self._writers: Set[asyncio.StreamWriter] = set()
         self.address: Optional[Tuple[str, int]] = None
 
         reg = self.registry
@@ -159,33 +161,45 @@ class EvalServer:
 
     def begin_drain(self) -> None:
         """Stop admitting evaluations; finish what is in flight."""
-        self._draining = True
+        self._draining.set()
         self._maybe_drained()
 
     async def serve_until_drained(self) -> None:
-        """Serve until a drain completes (SIGTERM/SIGINT or
-        :meth:`begin_drain`), then shut the listener down."""
+        """Serve until a drain begins (SIGTERM/SIGINT or
+        :meth:`begin_drain`), wait at most ``drain_grace`` seconds for
+        in-flight work to be answered, then shut down (:meth:`close`),
+        abandoning whatever is still running."""
         assert self._server is not None, "call start() first"
-        await self._drained.wait()
-        grace = self.config.drain_grace
-        if self._inflight:
-            await asyncio.wait(list(self._inflight.values()),
-                               timeout=grace)
-        await self.close()
+        await self._draining.wait()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.drain_grace
+        try:
+            await asyncio.wait_for(self._drained.wait(),
+                                   self.config.drain_grace)
+        except asyncio.TimeoutError:
+            pass  # the grace expired: close() abandons what is left
+        await self.close(max(0.0, deadline - loop.time()))
 
-    async def close(self) -> None:
+    async def close(self, grace: float = 5.0) -> None:
+        """Stop listening and close every open connection, answered or
+        not, then give running evaluations at most ``grace`` seconds to
+        end.  An evaluation still running after that is abandoned; its
+        pool child is a daemon process, terminated when the server
+        exits."""
         if self._server is not None:
             self._server.close()
+            for writer in list(self._writers):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
-        self.executor.close()
+        self.executor.close(grace)
 
     # ----- connection handling -------------------------------------------
 
     async def _on_client(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
-        self._connections += 1
-        self._g_connections.high_water(self._connections)
+        self._writers.add(writer)
+        self._g_connections.high_water(len(self._writers))
         try:
             while True:
                 try:
@@ -217,7 +231,7 @@ class EvalServer:
                 if request.close:
                     return
         finally:
-            self._connections -= 1
+            self._writers.discard(writer)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -316,7 +330,8 @@ class EvalServer:
             return 405, {"Allow": "GET"}, _json_error(
                 f"{path} takes GET")
         if path == "/healthz":
-            payload = {"status": "draining" if self._draining else "ok",
+            payload = {"status": "draining" if self._draining.is_set()
+                       else "ok",
                        "version": __version__,
                        "inflight": len(self._inflight)}
             return 200, {}, _json_bytes(payload)
@@ -374,7 +389,7 @@ class EvalServer:
             self._c_coalesced.inc()
             return await self._await_result(key, leader, base_headers,
                                             coalesced=True)
-        if self._draining:
+        if self._draining.is_set():
             self._c_rejected_drain.inc()
             return 429, {"Retry-After": "60"}, _json_error(
                 "server is draining; retry against another replica")
@@ -481,7 +496,7 @@ class EvalServer:
     # ----- reporting ------------------------------------------------------
 
     def _maybe_drained(self) -> None:
-        if self._draining and not self._inflight \
+        if self._draining.is_set() and not self._inflight \
                 and self._open_requests == 0:
             self._drained.set()
 
@@ -500,7 +515,7 @@ class EvalServer:
                                 + counters.get("server.http.304", 0))
                                / evaluated) if evaluated else 0.0,
             "queue_depth": len(self._inflight),
-            "draining": self._draining,
+            "draining": self._draining.is_set(),
         }
         return snapshot
 

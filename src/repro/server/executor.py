@@ -197,9 +197,10 @@ class EvalExecutor:
                 "type": "ExecutorError",
                 "message": "the evaluation ended without an outcome"}))
 
-    def close(self) -> None:
-        """Wait at most 5 s in all for running evaluations."""
-        deadline = time.monotonic() + 5.0
+    def close(self, timeout: float = 5.0) -> None:
+        """Wait at most ``timeout`` seconds in all for running
+        evaluations; the threads of any still running are daemons."""
+        deadline = time.monotonic() + timeout
         for thread in list(self._threads):
             thread.join(max(0.0, deadline - time.monotonic()))
 

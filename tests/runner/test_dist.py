@@ -22,8 +22,9 @@ import pytest
 from repro.runner.campaign import CampaignError, CampaignSpec, task_fingerprint
 from repro.runner.dist import (CampaignLayout, DistCoordinator, DistWorker,
                                _LeaseKeeper, lease_expired, read_lease,
-                               release_lease, renew_lease, run_distributed,
-                               shard_ids, shard_tasks, try_claim_lease)
+                               release_lease, renew_lease, run_campaign,
+                               run_distributed, shard_ids, shard_tasks,
+                               try_claim_lease)
 from repro.runner.manifest import CampaignManifest
 from repro.runner.pool import full_jitter_delay
 
@@ -411,6 +412,56 @@ class TestWorker:
         layout.campaign_file.write_text(json.dumps(campaign))
         with pytest.raises(CampaignError, match="version"):
             DistWorker(tmp_path, worker_id="w", join_timeout=0.2).run()
+
+
+class TestLaunchOrder:
+    """A worker launches shards in stream order: within each shared
+    trace-cache stream, shards whose first cell injects faults (and so
+    replays on the object path even on a hit) first; every stream's
+    first shard before any stream's second; ties in grid order."""
+
+    @staticmethod
+    def _record_calls(monkeypatch, probe=lambda: None):
+        """Stand in for ``execute_task``; returns the list of
+        (task id, ``probe()``) it fills, one entry per run cell."""
+        from repro.runner import dist as dist_mod
+        calls = []
+
+        def record(task):
+            calls.append((task.task_id, probe()))
+            return {"policies": {}}
+
+        monkeypatch.setattr(dist_mod, "execute_task", record)
+        return calls
+
+    def test_faulted_cells_of_every_stream_launch_first(self, tmp_path,
+                                                         monkeypatch):
+        calls = self._record_calls(monkeypatch)
+        result = run_campaign(small_spec(fault_rates=(0.0, 0.01, 0.1)),
+                              tmp_path, executor="inline")
+        assert result.complete and result.done == 6
+        assert [task_id for task_id, _ in calls] == [
+            "compress@s1/default/r0.01", "li@s1/default/r0.01",
+            "compress@s1/default/r0.1", "li@s1/default/r0.1",
+            "compress@s1/default/r0", "li@s1/default/r0"]
+
+    def test_a_shard_runs_its_cells_under_one_live_lease(self, tmp_path,
+                                                          monkeypatch):
+        # two-task shards: compress r0 + r0.01 | compress r0.1 + li r0 |
+        # li r0.01 + r0.1; reordering tasks instead of shards would
+        # interleave them and hold several leases at once
+        lease_dir = CampaignLayout(tmp_path).lease_dir
+        calls = self._record_calls(
+            monkeypatch, lambda: len(list(lease_dir.iterdir())))
+        result = run_campaign(small_spec(fault_rates=(0.0, 0.01, 0.1)),
+                              tmp_path, executor="inline", shard_size=2)
+        assert result.complete and result.done == 6
+        assert calls == [("compress@s1/default/r0.1", 1),
+                         ("li@s1/default/r0", 1),
+                         ("li@s1/default/r0.01", 1),
+                         ("li@s1/default/r0.1", 1),
+                         ("compress@s1/default/r0", 1),
+                         ("compress@s1/default/r0.01", 1)]
 
 
 class TestRunDistributed:

@@ -15,7 +15,7 @@ campaign manifest.  Hypothesis drives the two load-bearing properties:
 
 import json
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.runner.manifest import (ShardManifest, canonical_task_record,
                                    merge_task_records, read_shard_records,
@@ -133,6 +133,7 @@ class TestMergeThroughFiles:
                                            rec["error"])
             manifest.finalize()
 
+    @settings(deadline=None)  # fsyncs a file per record
     @given(records=records_lists, rnd=st.randoms(use_true_random=False))
     def test_file_partitioning_never_changes_the_output(self,
                                                         tmp_path_factory,

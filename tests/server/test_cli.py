@@ -30,6 +30,20 @@ def test_serve_accepts_valid_grid_kinds():
     assert args.func.__name__ == "cmd_serve"
 
 
+
+@pytest.mark.parametrize("grace", ["nan", "inf", "-1"])
+def test_serve_drain_grace_checked_at_parse_time(capsys, grace):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["serve", "--drain-grace", grace])
+    assert exc.value.code == 2
+    assert "must be a finite duration of at least 0" \
+        in capsys.readouterr().err
+
+
+def test_serve_zero_drain_grace_is_valid():
+    args = build_parser().parse_args(["serve", "--drain-grace", "0"])
+    assert args.drain_grace == 0.0
+
 def test_loadtest_defaults():
     args = build_parser().parse_args(["loadtest", "--quick"])
     assert args.quick

@@ -2,12 +2,16 @@
 backpressure, and drain — all through real sockets on loopback."""
 
 import asyncio
+import http.client
 import json
+import signal
+import socket
+import time
 
 import pytest
 
 from repro.server import EvalServer, ServerConfig
-from repro.server.loadgen import Client
+from repro.server.loadgen import Client, spawn_server
 
 SYNTH = {"synthetic": True, "cycles": 1500,
          "policies": ["original", "lut-4"]}
@@ -213,6 +217,41 @@ def test_drain_finishes_inflight_and_rejects_new():
         await other.close()
     serve(inline_config(allow_delay=True), scenario)
 
+
+
+def test_drain_grace_bounds_the_shutdown():
+    """``repro serve --drain-grace 1`` SIGTERMed while a 4 s evaluation
+    runs stops waiting when the grace expires: the connection closes
+    unanswered and the process (pool child included) exits 0."""
+    process, host, port = spawn_server(["--drain-grace", "1",
+                                        "--allow-delay"])
+    try:
+        body = json.dumps(dict(SYNTH, delay_ms=4000)).encode()
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(b"POST /v1/evaluate HTTP/1.1\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body) + body)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:  # wait for admission
+                health = http.client.HTTPConnection(host, port, timeout=10)
+                health.request("GET", "/healthz")
+                inflight = json.loads(health.getresponse().read())["inflight"]
+                health.close()
+                if inflight:
+                    break
+                time.sleep(0.05)
+            process.send_signal(signal.SIGTERM)
+            sent = time.monotonic()
+            code = process.wait(timeout=30)
+            elapsed = time.monotonic() - sent
+            assert sock.recv(64) == b""
+        assert json.loads(process.stdout.readline())["event"] == "drained"
+        assert code == 0
+        assert elapsed < 2.5
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=30)
+        process.stdout.close()
 
 def test_pool_executor_serves():
     """The production executor: evaluations run in forked pool
