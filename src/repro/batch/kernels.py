@@ -47,6 +47,19 @@ storage, so the object path keeps working on the very same trace):
   :data:`POPCOUNT16` before 3.10), and the matcher prunes and memoises
   permutations.
 
+**Fault views** are a kernel input, not a reason to take the object
+path: an evaluator with a plain
+:class:`~repro.runner.faults.FaultInjector` draws its view once per
+run through ``corrupt_columns`` over its selected, pre-swapped ops in
+stream order, the draws ``corrupt_view`` makes group by group.  Like
+``PolicyEvaluator._account_ops``, each kernel decides from the view
+and charges the true operands: the positional kernels only advance
+the injector, LUT keys come from the view's cases, the 1-bit matcher
+decides on the view's cases while its modules latch the true ones, and
+the full-width matrix is built from view images while true-image costs
+are charged.  Ops no upset touched keep their packed case and cost,
+and an unfaulted evaluator does no fault work at all.
+
 Semantics replicated exactly (see the evaluator/collector sources):
 the clamp-to-module-count *after* the speculative filter for deferred
 evaluators, first-best tie-breaking in the brute-force matcher (via
@@ -74,8 +87,8 @@ from ..isa.encoding import bit_count as _native_bit_count
 if TYPE_CHECKING:  # runtime-lazy: analysis itself imports this package
     from ..analysis.bit_patterns import BitPatternCollector
     from ..analysis.module_usage import ModuleUsageCollector
-from .columns import (F_HW_SWAP, F_SPEC, NUMPY_DTYPES, PackedColumns,
-                      PackedTrace, SWAPPED_CASE)
+from .columns import (F_HAS_TWO, F_HW_SWAP, F_SPEC, NUMPY_DTYPES,
+                      PackedColumns, PackedTrace, SWAPPED_CASE)
 
 #: popcount of every 16-bit value; the array kernels index it lane by
 #: lane, while on 3.10+ ``int.bit_count`` beats the double lookup, so
@@ -256,6 +269,45 @@ def _pre_swap(ctx: _EvalContext, sel: _Selected, op1v, op2v, flagsv, casev):
     return o1, o2, case, pre
 
 
+def _fault_view(ctx: _EvalContext, sel: _Selected, flagsv, o1, o2):
+    """Draw the faulted policy's view of the selected, pre-swapped
+    operands through ``FaultInjector.corrupt_columns``, in stream order
+    as ``_account_ops`` draws through ``corrupt_view`` group by group.
+
+    Returns ``(hit, view1, view2)``: the positions, within the
+    selection, of the ops an upset changed and their view images; or
+    ``None`` when nothing can flip (no injector, rate 0, filtered FU
+    class).
+    """
+    injector = ctx.ev.fault_injector
+    if injector is None:
+        return None
+    has_two = (flagsv[sel.idx] & F_HAS_TWO) != 0
+    v1, v2 = injector.corrupt_columns(o1, o2, has_two, ctx.cols.fu_class)
+    if v1 is o1:
+        return None
+    hit = np.flatnonzero((v1 != o1) | (v2 != o2))
+    return hit, v1[hit], v2[hit]
+
+
+def _view_cases(ctx: _EvalContext, sel: _Selected, flagsv, o1, o2, case):
+    """Info-bit cases of the faulted view (``case`` itself when no
+    upset landed): every op an upset changed is re-cased under the pack
+    scheme, the rest keep their packed case."""
+    view = _fault_view(ctx, sel, flagsv, o1, o2)
+    if view is None or not view[0].size:
+        return case
+    hit, v1, v2 = view
+    case = case.copy()
+    scheme = ctx.cols.scheme
+    case_fn = scheme.pair_case or scheme.case_of
+    two = (flagsv[sel.idx[hit]] & F_HAS_TWO) != 0
+    for pos, a, b, has_two in zip(hit.tolist(), v1.tolist(), v2.tolist(),
+                                  two.tolist()):
+        case[pos] = case_fn(a, b if has_two else 0)
+    return case
+
+
 def _accumulate(ctx: _EvalContext, o1, o2, module, case) -> None:
     """Charge selected ops to their modules, all columns at once.
 
@@ -320,6 +372,9 @@ def _np_run_positional(ev: PolicyEvaluator, cols: PackedColumns,
         return
     ctx.cycles_seen = sel.cycles
     o1, o2, case, _ = _pre_swap(ctx, sel, op1v, op2v, flagsv, casev)
+    # positional routing never reads operands, but a faulted evaluator's
+    # injector still draws for every op it is shown
+    _fault_view(ctx, sel, flagsv, o1, o2)
     if round_robin:
         rr0 = ev.policy._next
         # the rotation pointer at each group's start: the initial pointer
@@ -347,13 +402,16 @@ def _np_run_lut(ev: PolicyEvaluator, cols: PackedColumns) -> None:
         return
     ctx.cycles_seen = sel.cycles
     o1, o2, case, _ = _pre_swap(ctx, sel, op1v, op2v, flagsv, casev)
+    # the table steers on the (possibly faulted) view's cases; the true
+    # operands and cases are charged
+    vcase = _view_cases(ctx, sel, flagsv, o1, o2, case)
     vo = policy._vector_ops
     # a collision-free key, column-wise: length in the high bits, then
     # the first min(length, vector_ops) cases big-endian
     t = np.minimum(sel.n_of, vo)
     t_op = t[sel.jop]
     shift = np.maximum(2 * (t_op - 1 - sel.rank), 0)
-    contrib = np.where(sel.rank < t_op, case.astype(np.int64) << shift, 0)
+    contrib = np.where(sel.rank < t_op, vcase.astype(np.int64) << shift, 0)
     key = (sel.n_of << (2 * t)) | np.add.reduceat(contrib, sel.starts)
     uniq, first, inverse = np.unique(key, return_index=True,
                                      return_inverse=True)
@@ -362,7 +420,7 @@ def _np_run_lut(ev: PolicyEvaluator, cols: PackedColumns) -> None:
         j = int(first[u])
         start = int(sel.starts[j])
         n = int(sel.n_of[j])
-        cases = tuple(int(c) for c in case[start:start + min(n, vo)])
+        cases = tuple(int(c) for c in vcase[start:start + min(n, vo)])
         modules = policy._assign_cases(cases, n, nm).modules
         table[u, :len(modules)] = modules
     module = table[inverse[sel.jop], sel.rank]
@@ -417,14 +475,18 @@ def _match(costs: List[List[int]], n: int, nm: int,
 
 def _one_bit_decide(gc: Sequence[int], gsw: Sequence[bool],
                     pb1: int, pb2: int, nm: int, modrange,
-                    perms_by_n: Dict[int, List[Tuple[int, ...]]]
+                    perms_by_n: Dict[int, List[Tuple[int, ...]]],
+                    latched: Sequence[int]
                     ) -> Tuple[Tuple[int, ...], Tuple[bool, ...], int, int]:
     """One 1-bit-Hamming group decision from the memo-miss path.
 
-    Given the group's (post-pre-swap) cases, per-op swappability, and
-    the packed per-module info-bit state, build the 1-bit cost matrix,
-    match, and recover the router swaps exactly as ``cost_matrix``
-    chose them.  Returns ``(modules, chosen_swaps, next_pb1, next_pb2)``.
+    Given the group's (post-pre-swap) cases as the matcher sees them,
+    per-op swappability, and the packed per-module info-bit state,
+    build the 1-bit cost matrix, match, and recover the router swaps
+    exactly as ``cost_matrix`` chose them.  The next state comes from
+    ``latched``, the true cases the chosen modules latch (the same as
+    ``gc`` unless a fault view corrupted it).  Returns ``(modules,
+    chosen_swaps, next_pb1, next_pb2)``.
     """
     n = len(gc)
     costs: List[List[int]] = []
@@ -464,6 +526,9 @@ def _one_bit_decide(gc: Sequence[int], gsw: Sequence[bool],
                     < abs(b1 - p1) + abs(b2 - p2))
         chosen_swaps.append(swap)
         bit = 1 << module
+        true = latched[k]
+        b1 = (true >> 1) & 1
+        b2 = true & 1
         new1, new2 = (b2, b1) if swap else (b1, b2)
         next_pb1 = (next_pb1 & ~bit) | (new1 << module)
         next_pb2 = (next_pb2 & ~bit) | (new2 << module)
@@ -502,11 +567,27 @@ def _np_run_one_bit_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
     else:
         pre = np.zeros(idx.size, dtype=bool)
         case = raw_case
+    vcase = case
+    if ev.fault_injector is not None:
+        ro1 = op1v[idx]
+        ro2 = op2v[idx]
+        vcase = _view_cases(ctx, sel, flagsv, np.where(pre, ro2, ro1),
+                            np.where(pre, ro1, ro2), case)
     swappable = hw if allow_swap else np.zeros(idx.size, dtype=bool)
     # 3 bits per op, packed big-endian per group
-    field = (case.astype(np.int64) << 1) | swappable
-    opkeys = np.add.reduceat(field << (3 * (sel.n_of[sel.jop] - 1 - sel.rank)),
-                             sel.starts)
+    place = 3 * (sel.n_of[sel.jop] - 1 - sel.rank)
+    field = (vcase.astype(np.int64) << 1) | swappable
+    opkeys_l = np.add.reduceat(field << place, sel.starts).tolist()
+    case_l = case.tolist()
+    vcase_l = case_l
+    if vcase is not case:
+        # the matcher decides on the view, the modules latch the truth:
+        # the memo keys on both groups of cases
+        vcase_l = vcase.tolist()
+        true_keys = np.add.reduceat(case.astype(np.int64) << place,
+                                    sel.starts).tolist()
+        opkeys_l = [(key << (3 * nm)) | true
+                    for key, true in zip(opkeys_l, true_keys)]
 
     extract = policy.scheme.extract
     pb1 = 0  # bit m = info bit of module m's latched first operand
@@ -514,10 +595,8 @@ def _np_run_one_bit_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
     for m in range(nm):
         pb1 |= extract(ctx.prev1[m]) << m
         pb2 |= extract(ctx.prev2[m]) << m
-    opkeys_l = opkeys.tolist()
     n_l = sel.n_of.tolist()
     starts_l = sel.starts.tolist()
-    case_l = case.tolist()
     sw_l = swappable.tolist()
     modrange = range(nm)
     perms_by_n: Dict[int, List[Tuple[int, ...]]] = {}
@@ -531,9 +610,11 @@ def _np_run_one_bit_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
         hit = decisions.get(key)
         if hit is None:
             start = starts_l[j]
+            seen = vcase_l[start:start + n]
             modules, chosen, npb1, npb2 = _one_bit_decide(
-                case_l[start:start + n], sw_l[start:start + n],
-                pb1, pb2, nm, modrange, perms_by_n)
+                seen, sw_l[start:start + n], pb1, pb2, nm, modrange,
+                perms_by_n, seen if vcase_l is case_l
+                else case_l[start:start + n])
             hit = (len(dec_modules), npb1, npb2)
             dec_modules.append(modules)
             dec_swaps.append(chosen)
@@ -595,9 +676,80 @@ def _select_groups(cols: PackedColumns, num_modules: int,
             yield range(start, end)
 
 
+def _full_ham_views(ctx: _EvalContext) -> Dict[int, Tuple[int, int]]:
+    """The faulted view for the full-Hamming kernel: ``{op index: (view
+    op1, view op2)}`` after the pre-swap, for every op an upset changed
+    (empty for an unfaulted evaluator)."""
+    ev, cols = ctx.ev, ctx.cols
+    if ev.fault_injector is None:
+        return {}
+    op1v, op2v, flagsv, casev = _op_views(cols)
+    sel = _select(_offsets_view(cols), flagsv, ctx.nm,
+                  not ev.include_speculative)
+    if sel is None:
+        return {}
+    o1, o2, _, _ = _pre_swap(ctx, sel, op1v, op2v, flagsv, casev)
+    view = _fault_view(ctx, sel, flagsv, o1, o2)
+    if view is None:
+        return {}
+    hit, v1, v2 = view
+    return dict(zip(sel.idx[hit].tolist(), zip(v1.tolist(), v2.tolist())))
+
+
+def _view_rows(ctx: _EvalContext, views: Dict[int, Tuple[int, int]], sel,
+               g1, g2, costs, swaps, allow_swap: bool):
+    """Full-Hamming rows of one group under a faulted view.
+
+    The row of every op an upset touched is rebuilt from its view
+    images, against the group-start latched state, and the matcher
+    decides on it, while ``charge[k][m]`` is what module ``m`` really
+    switches for op ``k`` under the view's swap choice.  Returns
+    ``(costs, swaps, charge)``: the inputs themselves for a group no
+    upset touched.
+    """
+    hits = [(k, i) for k, i in enumerate(sel) if i in views]
+    if not hits:
+        return costs, swaps, costs
+    bc = _bit_count
+    prev1, prev2, mask = ctx.prev1, ctx.prev2, ctx.mask
+    flags = ctx.cols.flags
+    costs = list(costs)
+    charge = list(costs)
+    swaps = list(swaps)
+    for k, i in hits:
+        v1, v2 = views[i]
+        t1, t2 = g1[k], g2[k]
+        swappable = allow_swap and bool(flags[i] & F_HW_SWAP)
+        row, true_row = [], []
+        row_swaps: Optional[List[bool]] = [] if swappable else None
+        for m in range(ctx.nm):
+            p1 = prev1[m]
+            p2 = prev2[m]
+            cost = bc((v1 ^ p1) & mask) + bc((v2 ^ p2) & mask)
+            true_cost = bc((t1 ^ p1) & mask) + bc((t2 ^ p2) & mask)
+            if swappable:
+                exchanged = bc((v2 ^ p1) & mask) + bc((v1 ^ p2) & mask)
+                swap = exchanged < cost
+                if swap:
+                    cost = exchanged
+                    true_cost = bc((t2 ^ p1) & mask) + bc((t1 ^ p2) & mask)
+                row_swaps.append(swap)
+            row.append(cost)
+            true_row.append(true_cost)
+        costs[k] = row
+        swaps[k] = row_swaps
+        charge[k] = true_row
+    return costs, swaps, charge
+
+
 def _run_full_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
-    """Full-width Hamming matcher: cost matrix from kernel locals."""
+    """Full-width Hamming matcher: cost matrix from kernel locals.
+
+    Under a fault view the matrix is built from the view images and the
+    true images are charged (see :func:`_view_rows`).
+    """
     ctx = _EvalContext(ev, cols)
+    views = _full_ham_views(ctx)
     allow_swap = ev.policy.allow_swap
     nm = ctx.nm
     mask = ctx.mask
@@ -658,6 +810,10 @@ def _run_full_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
                 swaps.append(None)
             costs.append(row)
         n = len(g1)
+        charge = costs
+        if views:
+            costs, swaps, charge = _view_rows(ctx, views, sel, g1, g2,
+                                              costs, swaps, allow_swap)
         modules = _match(costs, n, nm, perms_by_n)
         for k in range(n):
             module = modules[k]
@@ -669,7 +825,7 @@ def _run_full_hamming(ev: PolicyEvaluator, cols: PackedColumns) -> None:
             else:
                 o1 = g1[k]
                 o2 = g2[k]
-            cost = costs[k][module]
+            cost = charge[k][module]
             prev1[module] = o1
             prev2[module] = o2
             total_bits += cost
@@ -699,13 +855,19 @@ def _evaluator_cols(ev: PolicyEvaluator, packed: PackedTrace):
 
     Returns the :class:`PackedColumns` to run over, :data:`_EMPTY` when
     the trace holds nothing of the evaluator's FU class, or ``None``
-    when its configuration needs the object path (fault injectors,
-    tracers, custom schemes/power models).
+    when its configuration needs the object path (tracers, subclassed
+    evaluators, fault injectors or power models, custom schemes or
+    swappers).  A plain :class:`~repro.runner.faults.FaultInjector` is
+    a kernel input: every kernel draws its columnar view.
     """
     if type(ev) is not PolicyEvaluator:
         return None
-    if ev.fault_injector is not None:
-        return None
+    injector = ev.fault_injector
+    if injector is not None:
+        # lazy: repro.runner pulls in the campaign fabric
+        from ..runner.faults import FaultInjector
+        if type(injector) is not FaultInjector:
+            return None  # a subclass may draw or corrupt differently
     if ev.telemetry is not None and ev._trace is not None:
         return None  # tracer wants per-cycle module events
     if type(ev.power) is not FUPowerModel:

@@ -10,9 +10,12 @@ distributed fabric with one in-process worker, so every campaign is
 sharded, leased, journaled, retried and resumed the same way.
 
 The unit of work is deliberately one whole simulation: simulating is
-the expensive part, and all policies share the pass via
-:class:`~repro.core.steering.SharedEvaluationCoordinator`, exactly as
-the interactive experiment drivers do.
+the expensive part, so a cell records (or, through the trace cache,
+replays) its stream once as a packed trace and scores every policy on
+it with :func:`~repro.batch.batch_drive`.  There is one scoring path
+for every cell, hit or miss, cached or not, faulted or clean: the
+kernels take each evaluator's fault view as an input
+(:meth:`~repro.runner.faults.FaultInjector.corrupt_columns`).
 """
 
 from __future__ import annotations
@@ -169,9 +172,9 @@ def execute_task(task: TaskSpec) -> Dict[str, Any]:
     Importable so the inline executor and unit tests can call it
     directly; the process pool runs it inside ``_child_main``.
     """
+    from ..batch import batch_drive, pack_stream
     from ..core.statistics import paper_statistics
-    from ..core.steering import (PolicyEvaluator,
-                                 SharedEvaluationCoordinator, make_policy)
+    from ..core.steering import PolicyEvaluator, make_policy
     from ..cpu.config import MachineConfig
     from ..isa.instructions import FUClass
     from ..telemetry import TelemetryConfig, TelemetrySession
@@ -190,8 +193,8 @@ def execute_task(task: TaskSpec) -> Dict[str, Any]:
     stats = paper_statistics(fu_class)
     num_modules = config.modules(fu_class)
 
-    coordinator = SharedEvaluationCoordinator(fu_class)
-    injectors: Dict[str, FaultInjector] = {}
+    evaluators: List[PolicyEvaluator] = []
+    injectors: List[FaultInjector] = []
     for kind in task.policies:
         policy = make_policy(kind, fu_class, num_modules, stats=stats)
         injector = None
@@ -200,48 +203,45 @@ def execute_task(task: TaskSpec) -> Dict[str, Any]:
             # the identical upset sequence on the identical stream
             injector = FaultInjector(task.fault_rate, mode=task.fault_mode,
                                      seed=task.seed)
-            injectors[kind] = injector
-        coordinator.add(PolicyEvaluator(fu_class, num_modules, policy,
-                                        fault_injector=injector,
-                                        telemetry=session))
+            injectors.append(injector)
+        evaluators.append(PolicyEvaluator(fu_class, num_modules, policy,
+                                          fault_injector=injector,
+                                          telemetry=session))
 
     # fault injectors here corrupt only each policy's *view*, never the
     # published stream, so every cell that shares (workload, scale,
     # machine config) shares one recorded stream regardless of policy
     # set or fault rate — exactly what the content-addressed cache keys
-    # on.  A hit replays the entry instead of simulating; its pack
-    # carries the original run's summary and counters.
+    # on.  Hit, miss or no cache, the cell scores one packed stream with
+    # the fused kernels, faulted views included (bit-identical to the
+    # object path; tests/batch/test_parity.py).  A kernel error fails
+    # the task rather than re-driving half-counted totals.
+    fu_classes = (fu_class,)
     cache_state = "off"
     if task.trace_cache_dir:
         # fleet-safe lookup: across every worker process on every host
         # sharing this cache directory, one records and the rest replay
         # (streams.cached_or_record contends on the per-key advisory
-        # lock).  On a miss our consumers rode the recording pass.
+        # lock).  A hit's pack carries the original run's summary and
+        # counters in place of the simulation.
         packed, cache_state = streams.cached_or_record(
-            program, config, task.trace_cache_dir, (fu_class,),
-            telemetry=session, extra_consumers=[coordinator])
-        sim_result = packed.result
+            program, config, task.trace_cache_dir, fu_classes,
+            telemetry=session)
         if cache_state == "hit":
-            if injectors:
-                # fault views are injected per evaluator inside the
-                # shared pass; keep the object path
-                streams.drive(streams.PackedSource(packed), [coordinator])
-            else:
-                # warm hit with no fault injection: score every
-                # evaluator through the fused columnar kernels
-                # (bit-identical to the shared object pass;
-                # tests/batch/test_parity.py).  A kernel error fails
-                # the task rather than re-driving half-counted totals
-                from ..batch import batch_drive
-                batch_drive(packed, coordinator.evaluators)
-            session.add_collector(sim_result.telemetry_counters)
+            session.add_collector(packed.result.telemetry_counters)
     else:
-        live = streams.LiveSource(program, config, telemetry=session)
-        sim_result = streams.drive(live, [coordinator])
+        memory = streams.capture(
+            streams.LiveSource(program, config, telemetry=session),
+            fu_classes)
+        packed = pack_stream(memory.groups(), fu_classes, name=memory.name,
+                             result=memory.result)
+    batch_drive(packed, evaluators)
+    sim_result = packed.result
 
     policies: Dict[str, Dict[str, Any]] = {}
     baseline_bits: Optional[int] = None
-    for kind, totals in zip(task.policies, coordinator.totals()):
+    for kind, evaluator in zip(task.policies, evaluators):
+        totals = evaluator.totals()
         policies[kind] = {"switched_bits": totals.switched_bits,
                           "operations": totals.operations}
         if kind == "original" and baseline_bits is None:
@@ -260,7 +260,7 @@ def execute_task(task: TaskSpec) -> Dict[str, Any]:
         "retired": sim_result.retired_instructions,
         "ipc": round(sim_result.ipc, 4),
         "wrong_path_frac": round(wrong_path_frac, 4),
-        "fault_flips": sum(i.flips for i in injectors.values()),
+        "fault_flips": sum(i.flips for i in injectors),
         "policies": policies,
         "trace_cache": cache_state,
         "telemetry": session.summary(),

@@ -167,18 +167,17 @@ def _launch_order(shards: Dict[str, Sequence[TaskSpec]]) -> List[str]:
     A shard's stream is its first cell's: cells with the same workload,
     scale, config overrides and FU share one recorded trace-cache
     stream, whatever their policies or fault rate (see
-    ``execute_task``).  Within a stream, shards whose first cell
-    injects faults rank first: such a cell replays on the object path
-    even on a cache hit, so it is the one that should record, with its
-    evaluators riding the live pass, while a clean cell that hits runs
-    the batch kernels.  Every stream's rank-0 shard launches before any
-    stream's rank-1 shard (ties in grid order), so each shared stream
-    is recorded once and its other cells launch after it is published,
-    without waiting on the lock.
+    ``execute_task``).  A shard's rank is the number of earlier shards
+    (in grid order) on its stream.  Every stream's rank-0 shard
+    launches before any stream's rank-1 shard (ties in grid order), so
+    each shared stream is recorded once and its other cells launch
+    after it is published, without waiting on the lock.  Which cell
+    records does not matter: hit or miss, faulted or not, every cell
+    scores the packed stream with the same batch kernels.
     """
     rank: Dict[str, int] = {}
     seen: Counter = Counter()
-    for sid in sorted(shards, key=lambda sid: not shards[sid][0].fault_rate):
+    for sid in shards:
         first = shards[sid][0]
         stream = (first.workload, first.scale,
                   json.dumps(first.config, sort_keys=True), first.fu)

@@ -18,7 +18,12 @@ Two hook points:
   fault_injector=injector)``: only the steering policy's view is
   corrupted while the power model charges the true operand images.
   This isolates the *steering decision* degradation, which is what
-  :func:`fault_sweep` charts.
+  :func:`fault_sweep` and the campaign's fault grid chart.  The object
+  path draws through :meth:`FaultInjector.corrupt_view` group by
+  group; the batch kernels (:func:`repro.batch.batch_drive`) draw
+  through its columnar twin :meth:`FaultInjector.corrupt_columns` in
+  the same order, so both engines see the same upsets and leave the
+  injector in the same state.
 
 At ``rate == 0.0`` both hooks are exact no-ops (the same objects pass
 through untouched), so a zero-rate run is bit-identical to a clean run.
@@ -171,6 +176,42 @@ class FaultInjector:
                                      critical=op.critical)
         return ops if out is None else out
 
+    def corrupt_columns(self, op1, op2, has_two, fu_class: FUClass):
+        """Columnar twin of :meth:`corrupt_view` for the batch kernels.
+
+        ``op1``/``op2`` are one evaluator's selected operand images (a
+        NumPy ``uint64`` column each, in stream order) and ``has_two``
+        their boolean column.  The ops are walked in that order drawing
+        exactly as successive :meth:`corrupt_view` calls over the same
+        groups would — one ``random()`` for op1, one more for op2 of a
+        two-operand op, the ``operand`` mode's ``randrange`` right after
+        its hit — so ``flips``, ``operands_seen`` and the RNG advance
+        identically.  Returns the view's ``(op1, op2)``: the inputs
+        themselves when nothing can flip (rate 0, filtered FU class),
+        else copies with the upsets applied.
+        """
+        rate = self.rate
+        if not rate:
+            return op1, op2
+        if self._filter is not None and fu_class not in self._filter:
+            return op1, op2
+        rng_random = self._rng.random
+        corrupt = self._corrupt_image
+        is_float = fu_class in FLOAT_CLASSES
+        view1 = op1.copy()
+        view2 = op2.copy()
+        flips = 0
+        for index, two in enumerate(has_two.tolist()):
+            if rng_random() < rate:
+                view1[index] = corrupt(int(op1[index]), is_float)
+                flips += 1
+            if two and rng_random() < rate:
+                view2[index] = corrupt(int(op2[index]), is_float)
+                flips += 1
+        self.flips += flips
+        self.operands_seen += len(has_two) + int(has_two.sum())
+        return view1, view2
+
 
 def fault_sweep(workload_name: str, rates: Sequence[float],
                 fu_class: FUClass = FUClass.IALU,
@@ -181,21 +222,24 @@ def fault_sweep(workload_name: str, rates: Sequence[float],
                 config=None) -> Dict[float, float]:
     """Steering savings of one policy as a function of fault rate.
 
-    Simulates the workload once, captures its issue stream, then
-    replays the same stream into one faulted evaluator per rate (plus
-    an unfaulted ``original`` baseline), so every point of the curve
-    sees identical traffic.  Returns ``{rate: fractional saving}`` —
-    under rising fault pressure the steering decisions degrade toward
-    random and the curve falls toward zero.
+    Simulates the workload once, packs its issue stream, then scores
+    the same stream with one faulted evaluator per rate (plus an
+    unfaulted ``original`` baseline) on the batch kernels, so every
+    point of the curve sees identical traffic.  Returns ``{rate:
+    fractional saving}`` — under rising fault pressure the steering
+    decisions degrade toward random and the curve falls toward zero.
     """
+    from ..batch import batch_drive, pack_stream
     from ..core.statistics import paper_statistics
     from ..core.steering import PolicyEvaluator, make_policy
-    from ..streams import LiveSource, capture, drive
+    from ..streams import LiveSource, capture
     from ..workloads import workload
 
     load = workload(workload_name)
     live = LiveSource(load.build(scale), config)
-    stream = capture(live, (fu_class,))
+    memory = capture(live, (fu_class,))
+    packed = pack_stream(memory.groups(), (fu_class,), name=memory.name,
+                         result=memory.result)
 
     stats = paper_statistics(fu_class)
     num_modules = live.config.modules(fu_class)
@@ -209,7 +253,7 @@ def fault_sweep(workload_name: str, rates: Sequence[float],
                              stats=stats)
         evaluators[rate] = PolicyEvaluator(fu_class, num_modules, policy,
                                            fault_injector=injector)
-    drive(stream, [baseline, *evaluators.values()])
+    batch_drive(packed, [baseline, *evaluators.values()])
     base_bits = baseline.totals().switched_bits
     curve = {}
     for rate, evaluator in evaluators.items():

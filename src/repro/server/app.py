@@ -119,6 +119,7 @@ class EvalServer:
         self._drained = asyncio.Event()
         self._open_requests = 0
         self._writers: Set[asyncio.StreamWriter] = set()
+        self._handlers: Set["asyncio.Task[None]"] = set()
         self.address: Optional[Tuple[str, int]] = None
 
         reg = self.registry
@@ -185,7 +186,11 @@ class EvalServer:
         not, then give running evaluations at most ``grace`` seconds to
         end.  An evaluation still running after that is abandoned; its
         pool child is a daemon process, terminated when the server
-        exits."""
+        exits.  Its waiters are failed, so every connection handler
+        ends on its own within what is left of ``grace`` instead of
+        being cancelled mid-read when the event loop shuts down."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + grace
         if self._server is not None:
             self._server.close()
             for writer in list(self._writers):
@@ -193,11 +198,23 @@ class EvalServer:
             await self._server.wait_closed()
             self._server = None
         self.executor.close(grace)
+        abandoned = ExecutionError({"type": "Abandoned",
+                                    "message": "the server shut down"})
+        for future in self._inflight.values():
+            if not future.done():
+                future.set_exception(abandoned)
+        handlers = [task for task in self._handlers if not task.done()]
+        if handlers:
+            await asyncio.wait(handlers,
+                               timeout=max(0.0, deadline - loop.time()))
 
     # ----- connection handling -------------------------------------------
 
     async def _on_client(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        handler.add_done_callback(self._handlers.discard)
         self._writers.add(writer)
         self._g_connections.high_water(len(self._writers))
         try:

@@ -379,13 +379,11 @@ def record_cached(program: Program, config: MachineConfig,
                   cache_dir: PathLike,
                   fu_classes: Optional[Iterable[FUClass]] = None,
                   telemetry=None,
-                  extra_consumers: Sequence[IssueConsumer] = (),
                   key: Optional[str] = None) -> "PackedTrace":
     """Simulate once and write the stream's cache entry.
 
-    ``extra_consumers`` ride the one simulation pass.  The capture is
-    packed after the run (final wrong-path flags), written atomically
-    to the entry's pack file, and returned.
+    The capture is packed after the run (final wrong-path flags),
+    written atomically to the entry's pack file, and returned.
     """
     from .batch.columns import pack_stream
     from .batch.sidecar import write_sidecar
@@ -393,7 +391,7 @@ def record_cached(program: Program, config: MachineConfig,
         key = trace_cache_key(program, config, fu_classes)
     Path(cache_dir).mkdir(parents=True, exist_ok=True)
     memory = capture(LiveSource(program, config, telemetry=telemetry),
-                     fu_classes, extra_consumers)
+                     fu_classes)
     packed = pack_stream(memory.groups(), fu_classes, name=memory.name,
                          result=memory.result)
     write_sidecar(cache_entry_path(cache_dir, key), packed,
@@ -478,7 +476,6 @@ def cached_or_record(program: Program, config: MachineConfig,
                      cache_dir: PathLike,
                      fu_classes: Optional[Iterable[FUClass]] = None,
                      telemetry=None,
-                     extra_consumers: Sequence[IssueConsumer] = (),
                      lock_ttl: float = 600.0,
                      poll: float = 0.2,
                      max_wait: Optional[float] = None,
@@ -487,10 +484,14 @@ def cached_or_record(program: Program, config: MachineConfig,
     """Fleet-safe cache lookup: replay a hit, or record exactly once.
 
     Returns ``(stream, state)``: the entry's
-    :class:`~repro.batch.columns.PackedTrace` and ``"hit"``, or a fresh
-    recording and ``"miss"`` (its consumers already rode the recording
-    pass, so the caller must *not* drive them again).  The key is
-    hashed once per call (or taken from ``key``).
+    :class:`~repro.batch.columns.PackedTrace` and ``"hit"``, or the
+    fresh recording, packed the same way, and ``"miss"``.  Either way
+    nothing has consumed the stream yet: callers score it with
+    :func:`~repro.batch.batch_drive` (or replay it through
+    :class:`PackedSource`), the same on a hit as on a miss.  The key is
+    hashed once per call (or taken from ``key``).  ``telemetry`` goes to
+    the recording simulation only; a hit's pack carries the original
+    run's counters.
 
     On a miss, contends on :class:`TraceCacheLock` so that across every
     process on every host sharing ``cache_dir``, one worker simulates
@@ -516,9 +517,7 @@ def cached_or_record(program: Program, config: MachineConfig,
 
     def record_now() -> Tuple["PackedTrace", str]:
         return record_cached(program, config, cache_dir, fu_classes,
-                             telemetry=telemetry,
-                             extra_consumers=extra_consumers,
-                             key=key), "miss"
+                             telemetry=telemetry, key=key), "miss"
 
     while True:
         found = cached_source(program, config, cache_dir, fu_classes, key)

@@ -4,11 +4,15 @@ The object path (:func:`repro.streams.drive` over reconstructed
 ``IssueGroup`` objects) is the reference oracle; the fused columnar
 kernels must accumulate *exactly* the same ``EvaluationTotals`` and
 telemetry counters for every steering scheme, both hardware-swap
-regimes, and both speculative settings, on random programs.
+regimes, and both speculative settings, on random programs — with and
+without a fault view on the policy's operands.
 """
+
+import functools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch import ENGINES, batch_drive, pack_stream
 from repro.core.info_bits import scheme_for
@@ -20,6 +24,7 @@ from repro.analysis.bit_patterns import BitPatternCollector
 from repro.analysis.module_usage import ModuleUsageCollector
 from repro.isa.assembler import assemble
 from repro.isa.instructions import FUClass
+from repro.runner.faults import FAULT_MODES, FaultInjector
 from repro.streams import LiveSource, capture, drive
 from repro.telemetry import TelemetryConfig, TelemetrySession
 from repro.workloads import workload
@@ -275,3 +280,136 @@ class TestFallbackPath:
         for mine, theirs in zip(seen, groups):
             assert mine.cycle == theirs.cycle
             assert mine.fu_class is theirs.fu_class
+
+
+#: every (rate, mode) a faulted parity check runs under
+FAULTS = [(rate, mode) for rate in (0.01, 0.3, 1.0) for mode in FAULT_MODES]
+
+
+@functools.lru_cache(maxsize=None)
+def _workload_stream(name):
+    """One capture per workload, shared: evaluators never mutate it."""
+    return capture(LiveSource(workload(name).build(1)))
+
+
+def _faulted_set(rate, mode, fu_class=FUClass.IALU, num_modules=NUM_MODULES,
+                 injector_type=FaultInjector):
+    """Every SCHEME_KINDS family under a fault view, in both hw regimes
+    and both wrong-path settings.  Each evaluator has its own injector
+    (one seed for all) and its own telemetry session, so every counter
+    is compared per evaluator."""
+    stats = paper_statistics(fu_class)
+    scheme = scheme_for(fu_class)
+    swap_case = choose_swap_case(stats)
+    evaluators = {}
+    for kind in SCHEME_KINDS:
+        for hw in (False, True):
+            for include_spec in (True, False):
+                if kind in ("full-ham", "1bit-ham"):
+                    policy = make_policy(kind, fu_class, num_modules,
+                                         stats=stats, allow_swap=hw)
+                    pre_swapper = None
+                else:
+                    policy = make_policy(kind, fu_class, num_modules,
+                                         stats=stats)
+                    pre_swapper = (HardwareSwapper(scheme, swap_case)
+                                   if hw else None)
+                evaluators[(kind, hw, include_spec)] = PolicyEvaluator(
+                    fu_class, num_modules, policy, pre_swapper=pre_swapper,
+                    include_speculative=include_spec,
+                    fault_injector=injector_type(rate, mode=mode, seed=7),
+                    telemetry=TelemetrySession(TelemetryConfig(metrics=True)))
+    return evaluators
+
+
+def _without_object_pass(packed):
+    """``packed`` with its object decoding disabled: any consumer that
+    reaches ``batch_drive``'s fallback pass fails the test."""
+    def refuse():
+        raise AssertionError("a consumer fell back to the object pass")
+
+    packed.iter_groups = refuse
+    return packed
+
+
+def _assert_faulted_identical(memory, rate, mode, fu_class=FUClass.IALU,
+                              num_modules=NUM_MODULES):
+    reference = _faulted_set(rate, mode, fu_class, num_modules)
+    drive(memory, list(reference.values()))
+    batch = _faulted_set(rate, mode, fu_class, num_modules)
+    batch_drive(_without_object_pass(pack_stream(memory.groups())),
+                list(batch.values()))
+    for key, ref in reference.items():
+        mine = batch[key]
+        assert mine.totals() == ref.totals(), key
+        assert mine.telemetry.collect_counters() \
+            == ref.telemetry.collect_counters(), key
+        want, got = ref.fault_injector, mine.fault_injector
+        assert (got.flips, got.operands_seen) \
+            == (want.flips, want.operands_seen), key
+        # the RNG itself ends in the same state
+        assert got._rng.random() == want._rng.random(), key
+
+
+class TestFaultViewParity:
+    """Faulted evaluators run the kernels: they draw their view through
+    ``FaultInjector.corrupt_columns``, steer on it and charge the true
+    operands, bit-identical to ``corrupt_view`` on the object path."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(loopy_programs(), st.sampled_from(FAULTS))
+    def test_random_programs(self, source, fault):
+        _assert_faulted_identical(capture(LiveSource(assemble(source))),
+                                  *fault)
+
+    @pytest.mark.parametrize("rate,mode", FAULTS)
+    def test_integer_workload(self, rate, mode):
+        _assert_faulted_identical(_workload_stream("compress"), rate, mode)
+
+    @pytest.mark.parametrize("rate,mode", FAULTS)
+    def test_two_modules(self, rate, mode):
+        _assert_faulted_identical(_workload_stream("li"), rate, mode,
+                                  num_modules=2)
+
+    @pytest.mark.parametrize("rate,mode", FAULTS)
+    def test_float_workload(self, rate, mode):
+        _assert_faulted_identical(_workload_stream("swim"), rate, mode,
+                                  fu_class=FUClass.FPAU)
+
+    def test_filtered_class_draws_nothing(self):
+        memory = _workload_stream("compress")
+        stats = paper_statistics(FUClass.IALU)
+
+        def build(injector=None):
+            policy = make_policy("lut-4", FUClass.IALU, NUM_MODULES,
+                                 stats=stats)
+            return PolicyEvaluator(FUClass.IALU, NUM_MODULES, policy,
+                                   fault_injector=injector)
+
+        clean = build()
+        drive(memory, [clean])
+        injector = FaultInjector(1.0, fu_classes=[FUClass.FPAU])
+        batch = build(injector)
+        batch_drive(_without_object_pass(pack_stream(memory.groups())),
+                    [batch])
+        assert batch.totals() == clean.totals()
+        assert (injector.flips, injector.operands_seen) == (0, 0)
+        assert injector._rng.random() == FaultInjector(0.0)._rng.random()
+
+    def test_injector_subclass_takes_the_object_path(self):
+        from repro.batch import kernels
+
+        class CountingInjector(FaultInjector):
+            """A subclass may draw or corrupt differently."""
+
+        memory = _workload_stream("compress")
+        packed = pack_stream(memory.groups())
+        reference = _faulted_set(0.3, "info",
+                                 injector_type=CountingInjector)
+        drive(memory, list(reference.values()))
+        batch = _faulted_set(0.3, "info", injector_type=CountingInjector)
+        for evaluator in batch.values():
+            assert kernels._evaluator_kernel(evaluator, packed) is None
+        batch_drive(packed, list(batch.values()))
+        for key, ref in reference.items():
+            assert batch[key].totals() == ref.totals(), key

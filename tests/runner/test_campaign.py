@@ -139,14 +139,13 @@ class TestCampaignTraceCache:
     def test_cells_sharing_a_stream_hit_the_cache(self, tmp_path):
         # two fault rates over one (workload, config): policy-view
         # faults never alter the published stream, so one task replays
-        # the other's recording.  The faulted task launches first and
-        # records: on a hit it would replay on the object path anyway
+        # the other's recording.  The first cell in grid order records
         spec = small_spec(workloads=("li",), fault_rates=(0.0, 0.2))
         result = run_campaign(spec, tmp_path, executor="inline")
         states = {tid: entry["result"]["trace_cache"]
                   for tid, entry in result.tasks.items()}
-        assert states == {"li@s1/default/r0.2": "miss",
-                          "li@s1/default/r0": "hit"}
+        assert states == {"li@s1/default/r0": "miss",
+                          "li@s1/default/r0.2": "hit"}
         entries = list((tmp_path / "trace-cache").iterdir())
         assert len(entries) == 1 and entries[0].suffix == ".pack"
 

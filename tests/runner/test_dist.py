@@ -415,10 +415,9 @@ class TestWorker:
 
 
 class TestLaunchOrder:
-    """A worker launches shards in stream order: within each shared
-    trace-cache stream, shards whose first cell injects faults (and so
-    replays on the object path even on a hit) first; every stream's
-    first shard before any stream's second; ties in grid order."""
+    """A worker launches shards in stream order: every shared
+    trace-cache stream's first shard before any stream's second; ties
+    in grid order."""
 
     @staticmethod
     def _record_calls(monkeypatch, probe=lambda: None):
@@ -434,16 +433,16 @@ class TestLaunchOrder:
         monkeypatch.setattr(dist_mod, "execute_task", record)
         return calls
 
-    def test_faulted_cells_of_every_stream_launch_first(self, tmp_path,
-                                                         monkeypatch):
+    def test_first_cell_of_every_stream_launches_first(self, tmp_path,
+                                                        monkeypatch):
         calls = self._record_calls(monkeypatch)
         result = run_campaign(small_spec(fault_rates=(0.0, 0.01, 0.1)),
                               tmp_path, executor="inline")
         assert result.complete and result.done == 6
         assert [task_id for task_id, _ in calls] == [
+            "compress@s1/default/r0", "li@s1/default/r0",
             "compress@s1/default/r0.01", "li@s1/default/r0.01",
-            "compress@s1/default/r0.1", "li@s1/default/r0.1",
-            "compress@s1/default/r0", "li@s1/default/r0"]
+            "compress@s1/default/r0.1", "li@s1/default/r0.1"]
 
     def test_a_shard_runs_its_cells_under_one_live_lease(self, tmp_path,
                                                           monkeypatch):
@@ -456,12 +455,12 @@ class TestLaunchOrder:
         result = run_campaign(small_spec(fault_rates=(0.0, 0.01, 0.1)),
                               tmp_path, executor="inline", shard_size=2)
         assert result.complete and result.done == 6
-        assert calls == [("compress@s1/default/r0.1", 1),
-                         ("li@s1/default/r0", 1),
+        assert calls == [("compress@s1/default/r0", 1),
+                         ("compress@s1/default/r0.01", 1),
                          ("li@s1/default/r0.01", 1),
                          ("li@s1/default/r0.1", 1),
-                         ("compress@s1/default/r0", 1),
-                         ("compress@s1/default/r0.01", 1)]
+                         ("compress@s1/default/r0.1", 1),
+                         ("li@s1/default/r0", 1)]
 
 
 class TestRunDistributed:

@@ -1,13 +1,16 @@
 """Fault injection: zero-rate purity, determinism, degradation."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.statistics import paper_statistics
 from repro.core.steering import PolicyEvaluator, make_policy
 from repro.cpu.simulator import Simulator, simulate
 from repro.cpu.trace import MicroOp, TraceCollector
 from repro.isa.instructions import FUClass, opcode
-from repro.runner.faults import FaultInjector, fault_sweep
+from repro.runner.faults import FAULT_MODES, FaultInjector, fault_sweep
 
 
 def _lut_evaluator(fault_injector=None):
@@ -119,6 +122,63 @@ class TestInjection:
             FaultInjector(-0.1)
         with pytest.raises(ValueError, match="mode"):
             FaultInjector(0.1, mode="gamma-ray")
+
+
+#: one group of (op1, op2, has_two) operations
+_groups = st.lists(st.lists(st.tuples(st.integers(0, 2**32 - 1),
+                                      st.integers(0, 2**32 - 1),
+                                      st.booleans()),
+                            min_size=1, max_size=6), max_size=12)
+
+
+class TestColumnarView:
+    """``corrupt_columns`` over a stream's ops is ``corrupt_view`` called
+    group after group: the same view, counters and RNG state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(groups=_groups, rate=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+           mode=st.sampled_from(FAULT_MODES),
+           fu_class=st.sampled_from([FUClass.IALU, FUClass.FPAU]),
+           fu_filter=st.sampled_from([None, [FUClass.IALU],
+                                      [FUClass.FPAU]]),
+           seed=st.integers(0, 99))
+    def test_equals_successive_views(self, groups, rate, mode, fu_class,
+                                     fu_filter, seed):
+        def injector():
+            return FaultInjector(rate, mode=mode, seed=seed,
+                                 fu_classes=fu_filter)
+
+        by_group = injector()
+        want = []
+        for group in groups:
+            ops = [MicroOp(opcode("add"), op1, op2 if two else 0,
+                           has_two=two) for op1, op2, two in group]
+            want += [(op.op1, op.op2)
+                     for op in by_group.corrupt_view(ops, fu_class)]
+
+        flat = [op for group in groups for op in group]
+        op1 = np.array([op1 for op1, _, _ in flat], dtype=np.uint64)
+        op2 = np.array([op2 if two else 0 for _, op2, two in flat],
+                       dtype=np.uint64)
+        has_two = np.array([two for _, _, two in flat], dtype=bool)
+        columnar = injector()
+        view1, view2 = columnar.corrupt_columns(op1, op2, has_two, fu_class)
+        assert list(zip(view1.tolist(), view2.tolist())) == want
+        assert (columnar.flips, columnar.operands_seen) \
+            == (by_group.flips, by_group.operands_seen)
+        assert columnar._rng.random() == by_group._rng.random()
+        # the caller's columns are never mutated
+        assert op1.tolist() == [op1 for op1, _, _ in flat]
+
+    def test_nothing_to_flip_returns_the_inputs(self):
+        op1 = np.array([5, 9], dtype=np.uint64)
+        op2 = np.array([0, 3], dtype=np.uint64)
+        has_two = np.array([False, True])
+        for injector in (FaultInjector(0.0),
+                         FaultInjector(1.0, fu_classes=[FUClass.FPAU])):
+            view = injector.corrupt_columns(op1, op2, has_two, FUClass.IALU)
+            assert view[0] is op1 and view[1] is op2
+            assert (injector.flips, injector.operands_seen) == (0, 0)
 
 
 class TestFaultSweep:

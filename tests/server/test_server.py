@@ -4,12 +4,17 @@ backpressure, and drain — all through real sockets on loopback."""
 import asyncio
 import http.client
 import json
+import os
 import signal
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.server import EvalServer, ServerConfig
 from repro.server.loadgen import Client, spawn_server
 
@@ -206,7 +211,9 @@ def test_drain_finishes_inflight_and_rejects_new():
             post(client, dict(SYNTH, delay_ms=800), timeout=30.0))
         await asyncio.sleep(0.2)
         server.begin_drain()
-        health = await Client(*server.address).request("GET", "/healthz")
+        checker = Client(*server.address)
+        health = await checker.request("GET", "/healthz")
+        await checker.close()
         assert json.loads(health.body)["status"] == "draining"
         other = Client(*server.address)
         rejected = await post(other, dict(SYNTH, seed=9))
@@ -252,6 +259,43 @@ def test_drain_grace_bounds_the_shutdown():
             process.kill()
             process.wait(timeout=30)
         process.stdout.close()
+
+
+def test_sigterm_with_an_idle_keepalive_connection_exits_cleanly():
+    """A keep-alive connection left idle after its answer ends with the
+    server: SIGTERM exits 0 with the ``drained`` line, and its handler
+    finishes on the closed transport instead of being cancelled
+    mid-read, which printed a traceback to stderr."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--executor", "inline"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    try:
+        listening = json.loads(process.stdout.readline())
+        assert listening["event"] == "listening"
+        with socket.create_connection((listening["host"], listening["port"]),
+                                      timeout=30) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = sock.recv(4096)
+                assert chunk, "the server closed before answering"
+                reply += chunk
+            assert reply.startswith(b"HTTP/1.1 200")
+            assert b"Connection: keep-alive" in reply
+            process.send_signal(signal.SIGTERM)
+            out, err = process.communicate(timeout=30)
+        assert process.returncode == 0
+        assert json.loads(out.splitlines()[-1])["event"] == "drained"
+        assert "Traceback" not in err, err
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate(timeout=30)
+
 
 def test_pool_executor_serves():
     """The production executor: evaluations run in forked pool

@@ -265,8 +265,8 @@ class TestTraceCache:
     def test_hit_replays_identical_totals(self, sum_program, tmp_path):
         config = MachineConfig()
         live = _evaluator()
-        record_cached(sum_program, config, tmp_path,
-                      extra_consumers=[live])
+        drive(LiveSource(sum_program, config), [live])
+        record_cached(sum_program, config, tmp_path)
         replayed = _evaluator()
         found = cached_source(sum_program, config, tmp_path)
         result = drive(PackedSource(found), [replayed])
