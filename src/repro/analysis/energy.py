@@ -394,6 +394,11 @@ def _run_plan(plan: _Plan, run: TaskRunner, report_cache: bool,
     """Statistics tasks, cells tasks, then one merge in workload order —
     never arrival order, so the panel is the same for any job count.
 
+    Between the two task sets, the panel's policies are built once in
+    this process: on a pool, every cells task forks after LUT synthesis
+    has filled its per-process memos; in process, the cells tasks'
+    synthesis is a memo hit either way.
+
     ``report_cache`` is false when ``plan.cache_dir`` is a pool run's
     private scratch cache: its hits and misses are not the caller's.
     """
@@ -409,6 +414,11 @@ def _run_plan(plan: _Plan, run: TaskRunner, report_cache: bool,
             usage.merge(outcome["usage"])
         stats = _case_statistics(patterns, usage, plan.config)
     plan = replace(plan, stats=stats)
+    # the panel's LUT synthesis, once, before the cells tasks fork
+    scheme = plan.scheme or scheme_for(plan.fu_class)
+    for kind in plan.schemes:
+        make_policy(kind, plan.fu_class, plan.config.modules(plan.fu_class),
+                    stats=stats, scheme=scheme)
     cell_outcomes = run(_cells_task, plan.payloads())
 
     result = Figure4Result(fu_class=plan.fu_class,

@@ -44,8 +44,9 @@ storage, so the object path keeps working on the very same trace):
   just wrote, so the groups are sequentially dependent by construction
   and there is no whole-column formulation.  Per-module state lives in
   local lists, popcounts use the native ``int.bit_count`` (or
-  :data:`POPCOUNT16` before 3.10), and the matcher prunes and memoises
-  permutations.
+  :data:`POPCOUNT16` before 3.10), and the matcher (:func:`_match`)
+  takes the row minima when they name distinct modules and otherwise
+  scans memoised permutations.
 
 **Fault views** are a kernel input, not a reason to take the object
 path: an evaluator with a plain
@@ -435,42 +436,52 @@ def _match(costs: List[List[int]], n: int, nm: int,
     :func:`repro.core.assignment.solve`: the lexicographically smallest
     minimum-total module tuple.
 
-    In the brute-force regime (``nm <= 6``, like ``solve``) the lex-order
-    strict-< scan is inlined with monotone partial-sum pruning — pruning
-    cannot change the winner (costs are non-negative integers).  Wider
-    machines delegate to ``solve`` itself, whose Kuhn-Munkres returns
-    the same tuple the scan would.
+    When every row's first minimum names a different module, those
+    modules are the answer at any module count: they reach the lower
+    bound (the sum of the row minima), and any other optimum first
+    differs in a row where it takes a later equal minimum.  Otherwise,
+    in the brute-force regime (``nm <= 6``, like ``solve``), up to four
+    ops take the first minimum of one flat list of totals over the
+    permutations in lex order, and more ops the lex-order strict-< scan
+    with monotone partial-sum pruning — pruning cannot change the
+    winner (costs are non-negative integers).  Wider machines delegate
+    to ``solve`` itself, whose Kuhn-Munkres returns the same tuple.
     """
-    if n == 1:
-        row = costs[0]
-        best = 0
-        best_cost = row[0]
-        for m in range(1, nm):
-            if row[m] < best_cost:
-                best_cost = row[m]
-                best = m
-        return (best,)
+    firsts = tuple([row.index(min(row)) for row in costs])
+    if len(set(firsts)) == n:
+        return firsts
     if nm > _BRUTE_FORCE_LIMIT:
         return _solve(costs)[0]
     perms = perms_by_n.get(n)
     if perms is None:
         perms = list(itertools.permutations(range(nm), n))
         perms_by_n[n] = perms
-    best_perm = perms[0]
-    best_total = 0
-    for k in range(n):
-        best_total += costs[k][best_perm[k]]
-    for index in range(1, len(perms)):
-        perm = perms[index]
-        total = 0
+    if n == 2:
+        r0, r1 = costs
+        totals = [r0[a] + r1[b] for a, b in perms]
+    elif n == 3:
+        r0, r1, r2 = costs
+        totals = [r0[a] + r1[b] + r2[c] for a, b, c in perms]
+    elif n == 4:
+        r0, r1, r2, r3 = costs
+        totals = [r0[a] + r1[b] + r2[c] + r3[d] for a, b, c, d in perms]
+    else:
+        best_perm = perms[0]
+        best_total = 0
         for k in range(n):
-            total += costs[k][perm[k]]
-            if total >= best_total:
-                break
-        else:
-            best_total = total
-            best_perm = perm
-    return best_perm
+            best_total += costs[k][best_perm[k]]
+        for index in range(1, len(perms)):
+            perm = perms[index]
+            total = 0
+            for k in range(n):
+                total += costs[k][perm[k]]
+                if total >= best_total:
+                    break
+            else:
+                best_total = total
+                best_perm = perm
+        return best_perm
+    return perms[totals.index(min(totals))]
 
 
 def _one_bit_decide(gc: Sequence[int], gsw: Sequence[bool],

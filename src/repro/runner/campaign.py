@@ -4,10 +4,11 @@ A campaign expands a declarative grid of (workload × machine config ×
 fault rate) tasks; each task scores every requested steering policy in
 one simulation pass.  This module holds the grid (:class:`CampaignSpec`,
 :class:`TaskSpec`, :func:`task_fingerprint`) and the work of one cell
-(:func:`execute_task`).  Scheduling lives in :mod:`repro.runner.dist`:
-a single-host run (:func:`~repro.runner.dist.run_campaign`) is the
-distributed fabric with one in-process worker, so every campaign is
-sharded, leased, journaled, retried and resumed the same way.
+(:func:`cell_setup`, then :func:`execute_task`).  Scheduling lives in
+:mod:`repro.runner.dist`: a single-host run
+(:func:`~repro.runner.dist.run_campaign`) is the distributed fabric
+with one in-process worker, so every campaign is sharded, leased,
+journaled, retried and resumed the same way.
 
 The unit of work is deliberately one whole simulation: simulating is
 the expensive part, so a cell records (or, through the trace cache,
@@ -23,7 +24,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # runtime-lazy: a spec or a task need not load them
+    from ..core.steering import SteeringPolicy
+    from ..cpu.config import MachineConfig
+    from ..isa.instructions import FUClass
+    from ..isa.program import Program
 
 # MachineConfig fields a campaign grid may override per config cell;
 # everything here is a scalar, so specs stay trivially JSON-able
@@ -96,12 +103,46 @@ class CampaignSpec:
                 REGISTRY.resolve(kind)
             except PolicyNameError as exc:
                 raise CampaignError(str(exc)) from None
+        # likewise everything else a cell sets up from the spec alone:
+        # an unknown workload, a scale below 1, an FU class without
+        # paper statistics, a config MachineConfig rejects or a policy
+        # its module count cannot build would fail every cell it
+        # touches, twice, after the whole grid has run
+        from ..core.statistics import paper_statistics
+        from ..core.steering import make_policy
+        from ..cpu.config import MachineConfig
+        from ..isa.instructions import FUClass
+        from ..workloads import workload
+        for name in self.workloads:
+            try:
+                workload(name)
+            except ValueError as exc:
+                raise CampaignError(str(exc)) from None
+        if min(self.scales, default=1) < 1:
+            raise CampaignError(f"scales must be at least 1, not"
+                                f" {list(self.scales)}")
+        try:
+            fu_class = FUClass(self.fu)
+            stats = paper_statistics(fu_class)
+        except ValueError as exc:
+            raise CampaignError(f"fu '{self.fu}': {exc}") from None
         for name, overrides in self.configs.items():
             unknown = set(overrides) - CONFIG_FIELDS
             if unknown:
                 raise CampaignError(
                     f"config '{name}' overrides unknown MachineConfig"
                     f" fields: {sorted(unknown)}")
+            try:
+                modules = MachineConfig(**overrides).modules(fu_class)
+            except (TypeError, ValueError) as exc:
+                raise CampaignError(f"config '{name}': {exc}") from None
+            for kind in self.policies:
+                try:
+                    make_policy(kind, fu_class, modules, stats=stats)
+                except ValueError as exc:
+                    raise CampaignError(
+                        f"policy '{kind}' on config '{name}' ({modules}"
+                        f" {self.fu} modules): {exc}") from None
 
     def tasks(self) -> List[TaskSpec]:
         """Expand the grid into concrete tasks, in deterministic order."""
@@ -166,37 +207,60 @@ def task_fingerprint(task: TaskSpec) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def cell_setup(task: TaskSpec) -> Tuple["FUClass", "MachineConfig", "Program",
+                                        List["SteeringPolicy"]]:
+    """A cell's stream-independent set-up: ``(fu_class, config,
+    program, policies)``, with one fresh policy per requested kind, in
+    order, synthesised from the paper's statistics.
+
+    Everything it builds is memoised per process (the workload
+    registry, ``Workload.build``, LUT synthesis's tables and home
+    allocations), so a campaign worker calls it before it forks its
+    pool tasks and each child's own call is memo hits.  It touches no
+    stream, trace cache or telemetry session, and returns new policy
+    objects on every call: some carry state (a round-robin pointer).
+    """
+    from ..core.statistics import paper_statistics
+    from ..core.steering import make_policy
+    from ..cpu.config import MachineConfig
+    from ..isa.instructions import FUClass
+    from ..workloads import workload as get_workload
+
+    fu_class = FUClass(task.fu)
+    config = MachineConfig(**task.config) if task.config else MachineConfig()
+    program = get_workload(task.workload).build(task.scale)
+    stats = paper_statistics(fu_class)
+    num_modules = config.modules(fu_class)
+    policies = [make_policy(kind, fu_class, num_modules, stats=stats)
+                for kind in task.policies]
+    return fu_class, config, program, policies
+
+
 def execute_task(task: TaskSpec) -> Dict[str, Any]:
     """Run one task in the current process and return its result dict.
 
     Importable so the inline executor and unit tests can call it
-    directly; the process pool runs it inside ``_child_main``.
+    directly; the process pool runs it inside ``_child_main``.  Its
+    set-up is :func:`cell_setup`, which a campaign worker has already
+    run in the parent of a pool child, so in the child it costs only
+    memo hits.
     """
     from ..batch import batch_drive, pack_stream
-    from ..core.statistics import paper_statistics
-    from ..core.steering import PolicyEvaluator, make_policy
-    from ..cpu.config import MachineConfig
-    from ..isa.instructions import FUClass
+    from ..core.steering import PolicyEvaluator
     from ..telemetry import TelemetryConfig, TelemetrySession
-    from ..workloads import workload as get_workload
     from .. import streams
     from .faults import FaultInjector
 
-    fu_class = FUClass(task.fu)
-    config = MachineConfig(**task.config) if task.config else MachineConfig()
+    fu_class, config, program, policies = cell_setup(task)
+    num_modules = config.modules(fu_class)
     # metrics-only session: counters merge across worker processes via
     # the summary dict in the manifest; sampling/tracing stay off so a
     # big grid does not bloat the JSONL or slow the sweep
     session = TelemetrySession(TelemetryConfig(metrics=True))
-    load = get_workload(task.workload)
-    program = load.build(task.scale)
-    stats = paper_statistics(fu_class)
-    num_modules = config.modules(fu_class)
 
     evaluators: List[PolicyEvaluator] = []
     injectors: List[FaultInjector] = []
-    for kind in task.policies:
-        policy = make_policy(kind, fu_class, num_modules, stats=stats)
+    for policy in policies:
         injector = None
         if task.fault_rate:
             # one injector per evaluator, same seed: every policy sees

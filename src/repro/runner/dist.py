@@ -75,12 +75,12 @@ import uuid
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from .atomic import atomic_write_json
-from .campaign import (CampaignError, CampaignSpec, TaskSpec, execute_task,
-                       task_fingerprint)
+from .campaign import (CampaignError, CampaignSpec, TaskSpec, cell_setup,
+                       execute_task, task_fingerprint)
 from .manifest import (RecordMerge, ShardManifest, read_journal,
                        read_shard_records, write_merged_manifest)
 from .pool import PoolItem, ProcessTaskPool, full_jitter_delay
@@ -374,6 +374,7 @@ class DistWorker:
         self._poll_override = poll_interval
         self.result = WorkerResult(worker=self.worker_id)
         self._finished = 0
+        self._warm: Set[Tuple[str, int]] = set()  # (workload, scale)
 
     # ----- campaign discovery ---------------------------------------------
 
@@ -526,6 +527,7 @@ class DistWorker:
             self.result.tasks_failed += 1
             self._settle(shard, shard.manifest.tasks[item.key])
 
+        self._warm_up(item.payload for item in items)
         pool = ProcessTaskPool(execute_task, max_workers=self.max_workers,
                                task_timeout=self.task_timeout,
                                retries=self.retries, backoff=self.backoff,
@@ -541,6 +543,25 @@ class DistWorker:
                     self._close(shard, completed=False)
         return any(held.values()) \
             or self.result.shards_quarantined > quarantined
+
+    def _warm_up(self, tasks: Iterable[TaskSpec]) -> None:
+        """Run :func:`cell_setup` here, before the pool forks, once per
+        program this worker has not set up yet.
+
+        Each pool child then inherits the loaded workload registry, the
+        assembled programs and LUT synthesis's tables copy-on-write, so
+        its own ``cell_setup`` is memo hits.  The first cell of each
+        program builds every policy its cells use: a campaign's cells
+        share the spec's FU class and policies, and no config override
+        changes a module count.  Touches no stream, trace cache or
+        lease.  Anything that could fail here fails every cell, and
+        ``CampaignSpec`` refuses those specs at build.
+        """
+        for task in tasks:
+            program = (task.workload, task.scale)
+            if program not in self._warm:
+                self._warm.add(program)
+                cell_setup(task)
 
     # ----- one shard ------------------------------------------------------
 

@@ -14,7 +14,9 @@ and runs the same path in this process, where tests can monkeypatch
 module state (e.g. a counting ``Simulator``) and have the evaluation
 observe it.  A launch that fails (``OSError``: fork ``EAGAIN``, no
 file descriptors) fails that request with a 500 like any other
-failed evaluation.
+failed evaluation.  The executor builds LUT synthesis's scenario
+tables when it is made, before any miss forks, so every child inherits
+them.
 
 The evaluation itself (:func:`evaluate_request`) is the CLI's own
 figure-4 driver against the server's shared trace cache.  That driver
@@ -35,6 +37,10 @@ from typing import Any, Dict, List, Optional, Set
 from ..analysis.energy import (Figure4Result, run_figure4,
                                run_figure4_synthetic)
 from ..analysis.report import render_figure4
+from ..core.lut import allocate_homes
+from ..core.statistics import paper_statistics
+from ..cpu.config import default_config
+from ..isa.instructions import FUClass
 from ..runner.pool import PoolItem, ProcessTaskPool, error_payload
 from ..workloads import workload
 from .protocol import EvalRequest, request_key
@@ -147,6 +153,14 @@ class EvalExecutor:
         self.task_timeout = task_timeout
         self._slots: Optional[asyncio.Semaphore] = None
         self._threads: Set[threading.Thread] = set()
+        # each miss measures its own statistics, but LUT synthesis's
+        # scenario tables depend only on the module count: build the
+        # default machine's now, before any miss forks, so every child
+        # inherits them (paper statistics use every issue width)
+        config = default_config()
+        for fu_class in (FUClass.IALU, FUClass.FPAU):
+            allocate_homes(paper_statistics(fu_class),
+                           config.modules(fu_class))
 
     async def submit(self, key: str, payload: Dict[str, Any]
                      ) -> Dict[str, Any]:

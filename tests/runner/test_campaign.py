@@ -95,6 +95,61 @@ class TestSpec:
             run_campaign(small_spec(), tmp_path, executor="thread")
 
 
+class TestSpecThatFailsEveryCell:
+    """A spec whose every affected cell would fail is refused at build:
+    the CLI exits 2 before writing ``--dir``, and a stored spec (what
+    ``--join`` and ``--resume`` rebuild) is refused the same way."""
+
+    @staticmethod
+    def refused(capsys, tmp_path, spec_overrides, *flags):
+        from repro.cli import main
+        out = tmp_path / "bad"
+        code = main(["campaign", "--dir", str(out), *flags])
+        assert code == 2 and not out.exists()
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("campaign error: ")
+        stored = dict(small_spec().to_dict(), **spec_overrides)
+        with pytest.raises(CampaignError):
+            CampaignSpec.from_dict(stored)
+        return stderr
+
+    def test_unknown_workload(self, capsys, tmp_path):
+        stderr = self.refused(capsys, tmp_path,
+                              {"workloads": ["compress", "nosuch"]},
+                              "--workloads", "compress", "nosuch",
+                              "--policies", "original")
+        assert "unknown workload 'nosuch'" in stderr
+
+    def test_fu_without_paper_statistics(self, capsys, tmp_path):
+        stderr = self.refused(capsys, tmp_path, {"fu": "imult"},
+                              "--workloads", "li", "--fu", "imult",
+                              "--policies", "original")
+        assert "fu 'imult'" in stderr and "IALU and FPAU only" in stderr
+
+    def test_config_machine_config_rejects(self, capsys, tmp_path):
+        configs = tmp_path / "configs.json"
+        configs.write_text(json.dumps({"zero": {"fetch_width": 0}}))
+        stderr = self.refused(capsys, tmp_path,
+                              {"configs": {"zero": {"fetch_width": 0}}},
+                              "--workloads", "li", "--policies", "original",
+                              "--configs-json", str(configs))
+        assert "config 'zero'" in stderr and "at least 1" in stderr
+
+    def test_scale_below_one(self, capsys, tmp_path):
+        stderr = self.refused(capsys, tmp_path, {"scales": [0]},
+                              "--workloads", "li", "--policies", "original",
+                              "--scale", "0")
+        assert "scales must be at least 1" in stderr
+
+    def test_policy_the_module_count_cannot_build(self, capsys, tmp_path):
+        # a 10-bit vector holds five slots; the IALU has four modules
+        stderr = self.refused(capsys, tmp_path,
+                              {"policies": ["original", "lut-10"]},
+                              "--workloads", "li",
+                              "--policies", "original", "lut-10")
+        assert "policy 'lut-10'" in stderr and "4 ialu modules" in stderr
+
+
 class TestExecuteTask:
     def test_result_shape_and_saving(self):
         task = small_spec().tasks()[0]
