@@ -30,7 +30,7 @@ sys.path.insert(
 from repro.core.statistics import paper_statistics          # noqa: E402
 from repro.runner.atomic import atomic_write_json           # noqa: E402
 from repro.core.steering import (OriginalPolicy, PolicyEvaluator,  # noqa: E402
-                                 SharedEvaluationCoordinator, make_policy)
+                                 make_policy)
 from repro.cpu.config import MachineConfig                  # noqa: E402
 from repro.cpu.simulator import Simulator                   # noqa: E402
 from repro.isa.assembler import assemble                    # noqa: E402
@@ -149,15 +149,13 @@ def run_scenario(name: str, source: str, config: MachineConfig,
     if with_evaluators:
         stats = paper_statistics(FUClass.IALU)
         modules = config.modules(FUClass.IALU)
-        coordinator = SharedEvaluationCoordinator(FUClass.IALU)
-        coordinator.add(PolicyEvaluator(FUClass.IALU, modules,
-                                        OriginalPolicy(),
-                                        telemetry=session))
-        coordinator.add(PolicyEvaluator(
+        sim.add_listener(PolicyEvaluator(FUClass.IALU, modules,
+                                         OriginalPolicy(),
+                                         telemetry=session))
+        sim.add_listener(PolicyEvaluator(
             FUClass.IALU, modules,
             make_policy("lut-4", FUClass.IALU, modules, stats=stats),
             telemetry=session))
-        sim.add_listener(coordinator)
     start = time.perf_counter()
     result = sim.run()
     elapsed = time.perf_counter() - start

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from ..batch import ENGINES, drive_stream, pack_stream
+from ..batch import ENGINES, drive_stream
 from ..compiler import denser_first_from_swap_case, swap_optimize
 from ..cpu.config import MachineConfig, default_config
 from ..core.info_bits import InfoBitScheme, scheme_for
@@ -54,7 +54,8 @@ from ..isa.instructions import FUClass
 from ..isa.program import Program
 from ..streams import (IssueSource, LiveSource, PackedSource, PathLike,
                        SyntheticSource, cache_entry_path, cached_or_record,
-                       capture, prune_trace_cache, trace_cache_key)
+                       capture, capture_packed, prune_trace_cache,
+                       trace_cache_key)
 from ..workloads.base import Workload, float_suite, integer_suite
 from .bit_patterns import BitPatternCollector
 from .module_usage import ModuleUsageCollector
@@ -63,6 +64,7 @@ from .module_usage import ModuleUsageCollector
 #: family's grid_kinds in grid order (so registering a family with grid
 #: metadata adds its rows here with no edit)
 SCHEMES = REGISTRY.grid_kinds()
+#: swap regimes in render order (a server request may ask for any)
 SWAP_MODES = ("none", "hw", "compiler", "hw+compiler")
 
 CellKey = Tuple[str, str]  # (scheme, swap mode)
@@ -210,11 +212,9 @@ def _captured_stream(program: Program, config: MachineConfig,
     """
     fu_classes = (fu_class,)
     if cache_dir is None:
-        memory = capture(LiveSource(program, config), fu_classes)
         if engine == "batch":
-            return pack_stream(memory.groups(), fu_classes, name=memory.name,
-                               result=memory.result), False
-        return memory, False
+            return capture_packed(program, config, fu_classes), False
+        return capture(LiveSource(program, config), fu_classes), False
     packed, state = cached_or_record(program, config, cache_dir, fu_classes,
                                      key=key)
     stream = packed if engine == "batch" else PackedSource(packed)

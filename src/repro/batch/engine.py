@@ -4,8 +4,8 @@ Packed streams come from the trace cache: every cache entry is a pack
 file, so :func:`repro.streams.cached_or_record` hands back a
 :class:`~repro.batch.columns.PackedTrace` whose columns are
 memory-mapped on a hit or freshly packed on a miss.  Without a cache
-dir, drivers pack a live capture themselves with
-:func:`~repro.batch.columns.pack_stream`.
+dir, drivers pack a live run themselves with
+:func:`~repro.streams.capture_packed`.
 
 :func:`drive_stream` dispatches a consumer set over either stream shape
 so drivers can hold packed and object sources in the same list.

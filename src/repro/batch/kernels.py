@@ -84,6 +84,7 @@ from ..core.registry import REGISTRY
 from ..core.steering import LUTPolicy, OneBitHammingPolicy, PolicyEvaluator
 from ..core.swapping import HardwareSwapper
 from ..isa.encoding import bit_count as _native_bit_count
+from ..streams import PackedSource
 
 if TYPE_CHECKING:  # runtime-lazy: analysis itself imports this package
     from ..analysis.bit_patterns import BitPatternCollector
@@ -1046,11 +1047,11 @@ def batch_drive(packed: PackedTrace, consumers: Sequence,
     """Run consumers over a packed trace: the columnar ``drive``.
 
     Consumers with a fused kernel are evaluated columnar; all others
-    share a single object-decoding pass over :meth:`iter_groups` (still
-    decoding once, not once per consumer).  With ``finalize`` each
-    consumer's ``finalize()`` hook is drained afterwards, exactly like
-    :func:`repro.streams.drive`.  Returns the packed stream's run
-    summary when known.
+    share one object pass, :class:`~repro.streams.PackedSource`'s pull
+    loop (still decoding once, not once per consumer).  With
+    ``finalize`` each consumer's ``finalize()`` hook is drained
+    afterwards, exactly like :func:`repro.streams.drive`.  Returns the
+    packed stream's run summary when known.
     """
     consumers = list(consumers)
     fallback = []
@@ -1061,9 +1062,7 @@ def batch_drive(packed: PackedTrace, consumers: Sequence,
         else:
             kernel()
     if fallback:
-        for group in packed.iter_groups():
-            for consumer in fallback:
-                consumer(group)
+        PackedSource(packed).drive(fallback)
     if finalize:
         for consumer in consumers:
             hook = getattr(consumer, "finalize", None)

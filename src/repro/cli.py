@@ -14,9 +14,9 @@ utilities:
 ``value-stats``       section 4.2's derived operand statistics
 ``sensitivity``       profile-input transfer study (compiler swapping)
 ``verilog``           export the synthesised router as Verilog
-``trace``             capture a workload's issue trace to a file
 ``record``            record a complete post-run trace (final wrong-path
-                      flags, config fingerprint, run summary in header)
+                      flags, config fingerprint, run summary in header);
+                      ``trace`` is an alias
 ``replay``            evaluate steering policies on a stored trace
 ``policies``          list registered policy families and their kernels
 ``asm``               assemble and run a .s file, dump results
@@ -60,26 +60,19 @@ from .core import build_lut, make_policy, paper_statistics
 from .core.logic import estimate_router_cost, synthesize_lut_logic
 from .core.registry import PolicyNameError, REGISTRY
 from .core.verilog import export_router
-from .core.steering import PolicyEvaluator, SharedEvaluationCoordinator
+from .core.steering import PolicyEvaluator
 from .cpu.simulator import Simulator
 from .telemetry import (TelemetryConfig, TelemetrySession,
                         validate_chrome_trace)
-from .cpu.tracefile import TraceWriter, read_trace_header, replay
+from .cpu.tracefile import read_trace_header
 from .isa import encoding
-from .streams import LiveSource, record
+from .streams import LiveSource, ReplaySource, drive, record
 from .isa.assembler import assemble
 from .isa.instructions import FUClass
 from .runner import (CampaignError, CampaignSpec, DistWorker,
                      atomic_write_json, atomic_write_text, fault_sweep,
                      run_campaign, run_distributed)
 from .workloads import all_workloads, workload
-
-
-def _fu_class(name: str) -> FUClass:
-    try:
-        return FUClass(name.lower())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"unknown FU class '{name}'")
 
 
 def _policy_kind(value: str) -> str:
@@ -204,7 +197,7 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_figure4(args) -> int:
-    fu_class = _fu_class(args.fu)
+    fu_class = FUClass(args.fu)
     schemes = tuple(args.policies) if args.policies else None
     if args.synthetic:
         kwargs = {"schemes": schemes} if schemes else {}
@@ -238,7 +231,7 @@ def cmd_figure4(args) -> int:
 def cmd_record(args) -> int:
     load = workload(args.workload)
     program = load.build(args.scale)
-    fu_classes = [_fu_class(name) for name in args.fu] if args.fu else None
+    fu_classes = [FUClass(name) for name in args.fu] if args.fu else None
     memory = record(LiveSource(program), args.output, fu_classes=fu_classes)
     result = memory.result
     header = read_trace_header(args.output)
@@ -259,7 +252,7 @@ def cmd_multiplier(args) -> int:
 
 
 def cmd_gates(args) -> int:
-    fu_class = _fu_class(args.fu)
+    fu_class = FUClass(args.fu)
     stats = paper_statistics(fu_class)
     lut = build_lut(stats, args.modules, args.vector_bits)
     core = synthesize_lut_logic(lut)
@@ -297,7 +290,7 @@ def cmd_value_stats(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    fu_class = _fu_class(args.fu)
+    fu_class = FUClass(args.fu)
     results = run_sensitivity_suite(fu_class, names=args.workloads or None,
                                     train_scale=args.train_scale,
                                     test_scale=args.test_scale)
@@ -312,7 +305,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_verilog(args) -> int:
-    fu_class = _fu_class(args.fu)
+    fu_class = FUClass(args.fu)
     stats = paper_statistics(fu_class)
     lut = build_lut(stats, args.modules, args.vector_bits)
     text = export_router(lut)
@@ -324,31 +317,22 @@ def cmd_verilog(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    load = workload(args.workload)
-    program = load.build(args.scale)
-    fu_classes = [_fu_class(name) for name in args.fu] if args.fu else None
-    sim = Simulator(program)
-    with TraceWriter(args.output, fu_classes=fu_classes,
-                     name=load.name) as writer:
-        sim.add_listener(writer)
-        result = sim.run()
-    print(f"simulated {result.retired_instructions} instructions,"
-          f" wrote {writer.groups_written} issue groups to {args.output}")
-    return 0
-
-
 def cmd_replay(args) -> int:
-    header = read_trace_header(args.trace)
-    fu_class = _fu_class(args.fu)
-    stats = paper_statistics(fu_class) if args.stats == "paper" else None
+    source = ReplaySource(args.trace)
+    fu_class = FUClass(args.fu)
+    stats = paper_statistics(fu_class)
     evaluators = {}
     for kind in args.policies:
-        policy = make_policy(kind, fu_class, args.modules,
-                             stats=stats or paper_statistics(fu_class))
+        policy = make_policy(kind, fu_class, args.modules, stats=stats)
         evaluators[kind] = PolicyEvaluator(fu_class, args.modules, policy)
-    groups = replay(args.trace, evaluators.values())
-    print(f"replayed {groups} groups from '{header.get('name')}'")
+    groups = 0
+
+    def count(group) -> None:
+        nonlocal groups
+        groups += 1
+
+    drive(source, [count, *evaluators.values()])
+    print(f"replayed {groups} groups from '{source.header.get('name')}'")
     baseline = None
     for kind, evaluator in evaluators.items():
         totals = evaluator.totals()
@@ -492,7 +476,7 @@ def cmd_campaign(args) -> int:
 
 def cmd_faultsweep(args) -> int:
     curve = fault_sweep(args.workload, args.rates,
-                        fu_class=_fu_class(args.fu),
+                        fu_class=FUClass(args.fu),
                         policy_kind=args.policy,
                         scale=args.scale,
                         mode=args.fault_mode,
@@ -516,12 +500,10 @@ def _telemetry_policies(sim: Simulator, session: TelemetrySession,
         return
     stats = paper_statistics(fu_class)
     num_modules = sim.config.modules(fu_class)
-    coordinator = SharedEvaluationCoordinator(fu_class)
     for kind in kinds:
         policy = make_policy(kind, fu_class, num_modules, stats=stats)
-        coordinator.add(PolicyEvaluator(fu_class, num_modules, policy,
-                                        telemetry=session))
-    sim.add_listener(coordinator)
+        sim.add_listener(PolicyEvaluator(fu_class, num_modules, policy,
+                                         telemetry=session))
 
 
 def cmd_stats(args) -> int:
@@ -532,7 +514,7 @@ def cmd_stats(args) -> int:
         TelemetryConfig(metrics=True, sample_interval=args.interval),
         stream=stream)
     sim = Simulator(program, telemetry=session)
-    _telemetry_policies(sim, session, _fu_class(args.fu), args.policies)
+    _telemetry_policies(sim, session, FUClass(args.fu), args.policies)
     result = sim.run()
     print(session.format_metrics(
         title=f"telemetry: {load.name} (scale {args.scale},"
@@ -552,7 +534,7 @@ def cmd_trace_export(args) -> int:
         TelemetryConfig(metrics=True, sample_interval=args.interval,
                         trace_events=True, trace_buffer=args.buffer))
     sim = Simulator(program, telemetry=session)
-    _telemetry_policies(sim, session, _fu_class(args.fu), args.policies)
+    _telemetry_policies(sim, session, FUClass(args.fu), args.policies)
     sim.run()
     payload = session.chrome_trace(load.name)
     problems = validate_chrome_trace(payload)
@@ -700,27 +682,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_verilog)
 
-    p = sub.add_parser("trace", help="capture an issue trace")
-    p.add_argument("workload")
-    p.add_argument("-o", "--output", required=True)
-    add_scale(p)
-    p.add_argument("--fu", nargs="*",
-                   help="FU classes to capture (default: all)")
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("record",
+    p = sub.add_parser("record", aliases=["trace"],
                        help="record a complete post-run trace (v2: final"
                             " wrong-path flags + run summary)")
     p.add_argument("workload")
     p.add_argument("-o", "--output", required=True)
     add_scale(p)
-    p.add_argument("--fu", nargs="*",
+    p.add_argument("--fu", nargs="*", choices=[fu.value for fu in FUClass],
                    help="FU classes to record (default: all)")
     p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("replay", help="evaluate policies on a trace")
     p.add_argument("trace")
-    p.add_argument("--fu", default="ialu")
+    p.add_argument("--fu", default="ialu", choices=["ialu", "fpau"])
     p.add_argument("--modules", type=int, default=4)
     p.add_argument("--policies", nargs="*", type=_policy_kind,
                    default=list(REGISTRY.default_policies()))

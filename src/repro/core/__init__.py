@@ -19,8 +19,7 @@ from .power import (FUPowerModel, MultiplierActivityModel, PowerParameters,
 from .statistics import CaseStatistics, paper_statistics
 from .steering import (EvaluationTotals, FullHammingPolicy, LUTPolicy,
                        OneBitHammingPolicy, OriginalPolicy, PolicyEvaluator,
-                       RoundRobinPolicy, SharedEvaluationCoordinator,
-                       SteeringPolicy, make_policy)
+                       RoundRobinPolicy, SteeringPolicy, make_policy)
 from .swapping import (HardwareSwapper, MultiplierSwapper, SwapMode,
                        choose_swap_case)
 from .registry import (PolicyFamily, PolicyNameError, PolicyRegistry,
@@ -49,8 +48,7 @@ __all__ = [
     "CaseStatistics", "paper_statistics",
     "EvaluationTotals", "FullHammingPolicy", "LUTPolicy",
     "OneBitHammingPolicy", "OriginalPolicy", "PolicyEvaluator",
-    "RoundRobinPolicy", "SharedEvaluationCoordinator",
-    "SteeringPolicy", "make_policy",
+    "RoundRobinPolicy", "SteeringPolicy", "make_policy",
     "HardwareSwapper", "MultiplierSwapper", "SwapMode", "choose_swap_case",
     "PolicyFamily", "PolicyNameError", "PolicyRegistry", "PolicyRequest",
     "REGISTRY",

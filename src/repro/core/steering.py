@@ -70,9 +70,6 @@ class OriginalPolicy:
     """
 
     name: str = "original"
-    # assignment depends only on the ops, never on latched module state;
-    # SharedEvaluationCoordinator may compute it once per cycle
-    power_independent = True
 
     def __post_init__(self) -> None:
         # the assignment depends only on the width, so the (frozen)
@@ -95,7 +92,6 @@ class RoundRobinPolicy:
 
     name: str = "round-robin"
     _next: int = 0
-    power_independent = True
 
     def assign(self, ops: Sequence[MicroOp], power: FUPowerModel) -> Assignment:
         count = power.num_modules
@@ -112,7 +108,6 @@ class FullHammingPolicy:
 
     allow_swap: bool = False
     name: str = "full-ham"
-    power_independent = False
 
     def __post_init__(self) -> None:
         if self.allow_swap:
@@ -150,7 +145,6 @@ class OneBitHammingPolicy:
     scheme: InfoBitScheme
     allow_swap: bool = False
     name: str = "1bit-ham"
-    power_independent = False
 
     def __post_init__(self) -> None:
         if self.allow_swap:
@@ -184,7 +178,6 @@ class LUTPolicy:
     lut: SteeringLUT
     scheme: InfoBitScheme
     name: str = ""
-    power_independent = True
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -383,10 +376,7 @@ class PolicyEvaluator:
         view = ops
         if self.fault_injector is not None:
             view = self.fault_injector.corrupt_view(ops, self.fu_class)
-        self._apply(ops, self.policy.assign(view, self.power), cycle)
-
-    def _apply(self, ops: Sequence[MicroOp], assignment: Assignment,
-               cycle: int = 0) -> None:
+        assignment = self.policy.assign(view, self.power)
         self.cycles_seen += 1
         self.power.account_group(ops, assignment.modules,
                                  assignment.swapped)
@@ -419,126 +409,6 @@ class PolicyEvaluator:
                                 operations=self.power.operations,
                                 cycles_seen=self.cycles_seen,
                                 hardware_swaps=swaps)
-
-
-class SharedEvaluationCoordinator:
-    """Fan one issue stream into many evaluators of one FU class,
-    computing shared per-cycle work exactly once.
-
-    Scoring N policies in one simulation pass repeats three pieces of
-    work N times when the evaluators subscribe independently: the
-    issue-width clamp, each pre-swapper's swapped operand list, and —
-    for policies whose assignment does not read the power model's
-    latched inputs (``power_independent``: Original, round-robin, LUT)
-    — the module assignment itself.  The coordinator hoists all three
-    into per-cycle caches.  Power-*dependent* policies (the Hamming
-    matchers) still compute their own cost matrices, necessarily: each
-    evaluator's matrix is built against its own module history.
-
-    A pre-swapper or power-independent policy *instance* shared by
-    several evaluators is invoked once per cycle, so its internal state
-    (swap counters, round-robin rotation) advances once — matching one
-    piece of hardware feeding several accounting models.
-    """
-
-    def __init__(self, fu_class: FUClass):
-        self.fu_class = fu_class
-        self.evaluators: List[PolicyEvaluator] = []
-        # dispatch plan, rebuilt on add(): per-evaluator static facts,
-        # plus whether any swapper / power-independent policy *instance*
-        # is shared between evaluators (the only case where per-cycle
-        # memo dicts are needed to keep "invoked once per cycle" true —
-        # distinct instances just compute their own work as usual)
-        self._plan: List[Tuple[PolicyEvaluator, FUPowerModel,
-                               Optional[HardwareSwapper], SteeringPolicy,
-                               bool, object]] = []
-        self._shared_swappers = False
-        self._shared_policies = False
-
-    def add(self, evaluator: PolicyEvaluator) -> PolicyEvaluator:
-        """Register an evaluator; returns it for chaining."""
-        if evaluator.fu_class is not self.fu_class:
-            raise ValueError(
-                f"evaluator is for {evaluator.fu_class}, coordinator "
-                f"for {self.fu_class}")
-        self.evaluators.append(evaluator)
-        self._plan.append((evaluator, evaluator.power,
-                           evaluator.pre_swapper, evaluator.policy,
-                           getattr(evaluator.policy, "power_independent",
-                                   False),
-                           evaluator.fault_injector))
-        swappers = [id(ev.pre_swapper) for ev in self.evaluators
-                    if ev.pre_swapper is not None]
-        self._shared_swappers = len(swappers) != len(set(swappers))
-        independents = [id(ev.policy) for ev in self.evaluators
-                        if getattr(ev.policy, "power_independent", False)]
-        self._shared_policies = len(independents) != len(set(independents))
-        return evaluator
-
-    def __call__(self, group: IssueGroup) -> None:
-        if group.fu_class is not self.fu_class:
-            return
-        base_ops = group.ops
-        base_len = len(base_ops)
-        # the clamp is pure, so a one-entry cache (the common case: all
-        # evaluators model the same module count) needs no dict
-        clamp_count = -1
-        clamp_ops: Sequence[MicroOp] = base_ops
-        swap_cache: Optional[Dict[Tuple[int, int], List[MicroOp]]] = (
-            {} if self._shared_swappers else None)
-        assign_cache: Optional[Dict[Tuple[int, int, int], Assignment]] = (
-            {} if self._shared_policies else None)
-        for ev, power, swapper, policy, independent, injector in self._plan:
-            deferred = ev._deferred
-            if deferred is not None:
-                deferred.append(group)
-                continue
-            count = power.num_modules
-            if count != clamp_count:
-                clamp_ops = (base_ops if base_len <= count
-                             else base_ops[:count])
-                clamp_count = count
-            ops = clamp_ops
-            if not ops:
-                continue
-            if swapper is not None:
-                if swap_cache is None:
-                    ops = [swapper(op) for op in ops]
-                else:
-                    key = (id(swapper), count)
-                    swapped = swap_cache.get(key)
-                    if swapped is None:
-                        swapped = [swapper(op) for op in ops]
-                        swap_cache[key] = swapped
-                    ops = swapped
-            view = ops
-            if injector is not None:
-                # faulted evaluators never share assignments: each
-                # injector corrupts its own view of the cycle
-                view = injector.corrupt_view(ops, self.fu_class)
-            if independent and assign_cache is not None and injector is None:
-                akey = (id(policy), id(ops), count)
-                assignment = assign_cache.get(akey)
-                if assignment is None:
-                    assignment = policy.assign(ops, power)
-                    assign_cache[akey] = assignment
-            else:
-                assignment = policy.assign(view, power)
-            # _apply, inlined: this is once per evaluator per cycle
-            ev.cycles_seen += 1
-            power.account_group(ops, assignment.modules,
-                                assignment.swapped)
-            if ev.telemetry is not None:
-                ev._telemetry_record(ops, assignment, group.cycle)
-
-    def finalize(self) -> None:
-        """Drain every deferred (wrong-path-excluding) evaluator."""
-        for ev in self.evaluators:
-            ev.finalize()
-
-    def totals(self) -> List[EvaluationTotals]:
-        """Totals of every registered evaluator, in registration order."""
-        return [ev.totals() for ev in self.evaluators]
 
 
 def make_policy(kind: str, fu_class: FUClass, num_modules: int,

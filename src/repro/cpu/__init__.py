@@ -7,11 +7,11 @@ from .golden import ExecutionLimitExceeded, GoldenResult, run_program
 from .memory import Memory, MemoryError_
 from .simulator import (CycleLimitExceeded, DeadlockDetected,
                         DiagnosticSnapshot, Simulator, simulate)
-from .trace import (IssueGroup, IssueListener, ListenerFanout, MicroOp,
-                    SimulationResult, TraceCollector)
+from .trace import (IssueGroup, IssueListener, MicroOp, SimulationResult,
+                    TraceCollector)
 from .tracefile import (FORMAT_VERSION, SUPPORTED_VERSIONS, TraceFormatError,
-                        TraceWriter, header_result, load_trace,
-                        read_trace_header, replay, save_trace, write_trace)
+                        header_result, load_trace, read_trace_header,
+                        write_trace)
 
 __all__ = [
     "BimodalPredictor",
@@ -21,9 +21,8 @@ __all__ = [
     "Memory", "MemoryError_",
     "CycleLimitExceeded", "DeadlockDetected", "DiagnosticSnapshot",
     "Simulator", "simulate",
-    "IssueGroup", "IssueListener", "ListenerFanout", "MicroOp",
-    "SimulationResult", "TraceCollector",
+    "IssueGroup", "IssueListener", "MicroOp", "SimulationResult",
+    "TraceCollector",
     "FORMAT_VERSION", "SUPPORTED_VERSIONS", "TraceFormatError",
-    "TraceWriter", "header_result", "load_trace", "read_trace_header",
-    "replay", "save_trace", "write_trace",
+    "header_result", "load_trace", "read_trace_header", "write_trace",
 ]

@@ -107,6 +107,16 @@ class MachineConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+#: MachineConfig fields a campaign config cell or a server request may
+#: override: scalars only, so specs and requests stay JSON-able (the
+#: nested cache and telemetry configs are not overridable)
+CONFIG_FIELDS = frozenset({
+    "fetch_width", "dispatch_width", "retire_width", "rob_entries",
+    "rs_entries_per_class", "branch_predictor_entries", "branch_predictor",
+    "mispredict_penalty", "max_cycles", "watchdog_cycles",
+})
+
+
 def default_config() -> MachineConfig:
     """The paper's evaluation configuration."""
     return MachineConfig()

@@ -153,13 +153,3 @@ class TraceCollector:
         return sum(len(group) for group in self.groups
                    if fu_class is None or group.fu_class == fu_class)
 
-
-class ListenerFanout:
-    """Dispatch each issue group to several listeners."""
-
-    def __init__(self, listeners: Iterable[IssueListener]):
-        self._listeners = list(listeners)
-
-    def __call__(self, group: IssueGroup) -> None:
-        for listener in self._listeners:
-            listener(group)

@@ -1,4 +1,4 @@
-"""Trace persistence: save and replay issue-group streams.
+"""Trace files: the gzip export format of an issue-group stream.
 
 Simulating a workload is far more expensive than evaluating a steering
 policy on its operand stream, so experiments that sweep many policies
@@ -10,8 +10,10 @@ issue group:
      [[op, op1, op2, has_two, static, spec, swap, critical], ...]]
 
 Operand images are serialised as hex strings to stay compact and
-byte-exact.  ``TraceWriter`` doubles as a simulator listener so capture
-happens inline with simulation.
+byte-exact.  A trace is written once, after the run, by
+:func:`write_trace` (through :func:`repro.streams.record`), so every
+file carries final wrong-path flags; it is read back by
+:func:`load_trace` (through :class:`repro.streams.ReplaySource`).
 
 Reading is hardened against the failure modes long campaigns actually
 hit — truncated gzip streams (a killed writer), corrupt JSON lines,
@@ -77,49 +79,6 @@ def _decode_group(line: str) -> IssueGroup:
     return IssueGroup(cycle, FUClass(fu_value), ops)
 
 
-class TraceWriter:
-    """Simulator listener streaming issue groups to a trace file."""
-
-    def __init__(self, path: PathLike,
-                 fu_classes: Optional[Iterable[FUClass]] = None,
-                 name: str = "trace",
-                 config_fingerprint: Optional[str] = None,
-                 source_kind: str = "live"):
-        self._filter = set(fu_classes) if fu_classes is not None else None
-        self._file = gzip.open(Path(path), "wt", encoding="utf-8")
-        self.groups_written = 0
-        header = {"version": FORMAT_VERSION, "name": name,
-                  "fu_classes": sorted(fu.value for fu in self._filter)
-                  if self._filter is not None else None,
-                  "config": config_fingerprint,
-                  "source": source_kind}
-        self._file.write(json.dumps(header) + "\n")
-
-    def __call__(self, group: IssueGroup) -> None:
-        if self._filter is not None and group.fu_class not in self._filter:
-            return
-        self._file.write(_encode_group(group) + "\n")
-        self.groups_written += 1
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def save_trace(path: PathLike, groups: Iterable[IssueGroup],
-               name: str = "trace") -> int:
-    """Write an iterable of issue groups to ``path``; returns count."""
-    with TraceWriter(path, name=name) as writer:
-        for group in groups:
-            writer(group)
-        return writer.groups_written
-
-
 def write_trace(path: PathLike, groups: Iterable[IssueGroup],
                 name: str = "trace",
                 fu_classes: Optional[Iterable[FUClass]] = None,
@@ -128,11 +87,9 @@ def write_trace(path: PathLike, groups: Iterable[IssueGroup],
                 result: Optional[SimulationResult] = None) -> int:
     """Write a *complete* trace atomically; returns the group count.
 
-    Unlike the streaming :class:`TraceWriter` (which emits each group
-    as it is published, before retroactive wrong-path marking), this
-    takes an already-final group list — speculative flags included —
+    Takes an already-final group list — speculative flags included —
     and writes temp-then-rename, so a killed writer can never leave a
-    truncated file under a cache key.  ``result`` (the run's
+    truncated file behind.  ``result`` (the run's
     :class:`~repro.cpu.trace.SimulationResult`) is stored in the header
     so replay can report cycles/IPC without re-simulating.
     """
@@ -225,7 +182,7 @@ def load_trace(path: PathLike) -> Iterator[IssueGroup]:
             try:
                 line = handle.readline()
             except (EOFError, OSError, gzip.BadGzipFile) as exc:
-                # a killed TraceWriter leaves a truncated gzip member;
+                # a writer killed mid-file leaves a truncated gzip member;
                 # everything up to here replayed fine, but the tail is
                 # unrecoverable and silently dropping it would corrupt
                 # statistics
@@ -243,13 +200,3 @@ def load_trace(path: PathLike) -> Iterator[IssueGroup]:
                 raise TraceFormatError(
                     path, lineno, f"corrupt issue group: {exc}") from exc
 
-
-def replay(path: PathLike, listeners: Iterable) -> int:
-    """Feed a stored trace to evaluator listeners; returns group count."""
-    listeners = list(listeners)
-    count = 0
-    for group in load_trace(path):
-        for listener in listeners:
-            listener(group)
-        count += 1
-    return count

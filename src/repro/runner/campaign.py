@@ -26,19 +26,14 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from ..cpu.config import CONFIG_FIELDS
+
 if TYPE_CHECKING:  # runtime-lazy: a spec or a task need not load them
     from ..core.steering import SteeringPolicy
     from ..cpu.config import MachineConfig
     from ..isa.instructions import FUClass
     from ..isa.program import Program
 
-# MachineConfig fields a campaign grid may override per config cell;
-# everything here is a scalar, so specs stay trivially JSON-able
-CONFIG_FIELDS = frozenset({
-    "fetch_width", "dispatch_width", "retire_width", "rob_entries",
-    "rs_entries_per_class", "branch_predictor_entries", "branch_predictor",
-    "mispredict_penalty", "max_cycles", "watchdog_cycles",
-})
 
 class CampaignError(RuntimeError):
     """The campaign cannot run (bad spec, unresumable manifest, ...)."""
@@ -245,7 +240,7 @@ def execute_task(task: TaskSpec) -> Dict[str, Any]:
     run in the parent of a pool child, so in the child it costs only
     memo hits.
     """
-    from ..batch import batch_drive, pack_stream
+    from ..batch import batch_drive
     from ..core.steering import PolicyEvaluator
     from ..telemetry import TelemetryConfig, TelemetrySession
     from .. import streams
@@ -294,11 +289,8 @@ def execute_task(task: TaskSpec) -> Dict[str, Any]:
         if cache_state == "hit":
             session.add_collector(packed.result.telemetry_counters)
     else:
-        memory = streams.capture(
-            streams.LiveSource(program, config, telemetry=session),
-            fu_classes)
-        packed = pack_stream(memory.groups(), fu_classes, name=memory.name,
-                             result=memory.result)
+        packed = streams.capture_packed(program, config, fu_classes,
+                                        telemetry=session)
     batch_drive(packed, evaluators)
     sim_result = packed.result
 

@@ -115,27 +115,6 @@ class FaultInjector:
                 micro.op2 = self._corrupt_image(micro.op2, is_float)
                 self.flips += 1
 
-    def stream_consumer(self):
-        """The simulator-stream hook as an issue-source consumer.
-
-        Returns a ``(IssueGroup) -> None`` callable for
-        :func:`repro.streams.drive` that corrupts each group's MicroOps
-        *in place* — put it **first** in the consumer list so every
-        later consumer sees the upset, exactly as all listeners of a
-        live run see ops the simulator hook corrupted before
-        publication.  Note that it therefore also mutates a
-        MemorySource's stored groups; replay a fresh capture per fault
-        configuration.
-        """
-        call = self.__call__
-
-        def consume(group) -> None:
-            fu_class = group.fu_class
-            for op in group.ops:
-                call(op, fu_class)
-
-        return consume
-
     def corrupt_view(self, ops: Sequence[MicroOp],
                      fu_class: FUClass) -> Sequence[MicroOp]:
         """Evaluator hook: return the ops as the faulted policy sees them.
@@ -229,20 +208,19 @@ def fault_sweep(workload_name: str, rates: Sequence[float],
     fractional saving}`` — under rising fault pressure the steering
     decisions degrade toward random and the curve falls toward zero.
     """
-    from ..batch import batch_drive, pack_stream
+    from ..batch import batch_drive
     from ..core.statistics import paper_statistics
     from ..core.steering import PolicyEvaluator, make_policy
-    from ..streams import LiveSource, capture
+    from ..cpu.config import MachineConfig
+    from ..streams import capture_packed
     from ..workloads import workload
 
-    load = workload(workload_name)
-    live = LiveSource(load.build(scale), config)
-    memory = capture(live, (fu_class,))
-    packed = pack_stream(memory.groups(), (fu_class,), name=memory.name,
-                         result=memory.result)
+    config = config if config is not None else MachineConfig()
+    packed = capture_packed(workload(workload_name).build(scale), config,
+                            (fu_class,))
 
     stats = paper_statistics(fu_class)
-    num_modules = live.config.modules(fu_class)
+    num_modules = config.modules(fu_class)
     baseline = PolicyEvaluator(fu_class, num_modules,
                                make_policy("original", fu_class,
                                            num_modules, stats=stats))

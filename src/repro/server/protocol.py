@@ -27,22 +27,12 @@ import hashlib
 import json
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
+from ..analysis.energy import SWAP_MODES
 from ..batch import ENGINES
 from ..core.registry import PolicyNameError, REGISTRY
-from ..cpu.config import MachineConfig
+from ..cpu.config import CONFIG_FIELDS, MachineConfig
 from ..isa.instructions import FUClass
 from ..workloads import all_workloads
-
-#: swap regimes a request may ask for, in render order
-SWAP_MODES = ("none", "hw", "compiler", "hw+compiler")
-
-#: MachineConfig fields a request may override (simple scalars only;
-#: nested cache/telemetry config stays server-side)
-CONFIG_OVERRIDE_FIELDS = frozenset({
-    "fetch_width", "dispatch_width", "retire_width", "rob_entries",
-    "rs_entries_per_class", "branch_predictor_entries", "branch_predictor",
-    "mispredict_penalty", "max_cycles", "watchdog_cycles",
-})
 
 MAX_WORKLOADS = 32
 MAX_POLICIES = 32
@@ -150,9 +140,9 @@ def _parse_config_overrides(raw: Any) -> Tuple[Tuple[str, Any], ...]:
     _require(isinstance(raw, dict), "'config' must be an object")
     overrides = []
     for name in sorted(raw):
-        _require(name in CONFIG_OVERRIDE_FIELDS,
+        _require(name in CONFIG_FIELDS,
                  f"unknown config override '{name}' (allowed:"
-                 f" {', '.join(sorted(CONFIG_OVERRIDE_FIELDS))})")
+                 f" {', '.join(sorted(CONFIG_FIELDS))})")
         value = raw[name]
         if name == "branch_predictor":
             _require(isinstance(value, str),
@@ -274,6 +264,5 @@ def etag_for(key: str) -> str:
     return f'"{key}"'
 
 
-__all__ = ["CONFIG_OVERRIDE_FIELDS", "EvalRequest", "MAX_POLICIES",
-           "MAX_WORKLOADS", "ProtocolError", "SWAP_MODES", "etag_for",
-           "parse_request", "request_key"]
+__all__ = ["EvalRequest", "MAX_POLICIES", "MAX_WORKLOADS", "ProtocolError",
+           "SWAP_MODES", "etag_for", "parse_request", "request_key"]

@@ -319,6 +319,23 @@ def record(source: IssueSource, path: PathLike,
     return memory
 
 
+def capture_packed(program: Program, config: MachineConfig,
+                   fu_classes: Optional[Iterable[FUClass]] = None,
+                   telemetry=None) -> "PackedTrace":
+    """Simulate ``program`` once and pack its stream for the kernels.
+
+    The capture is packed after the run, so the columns hold final
+    wrong-path flags and the pack carries the run summary.
+    ``telemetry`` goes to the simulation.
+    """
+    # lazy: repro.batch.engine imports this module at load time
+    from .batch.columns import pack_stream
+    memory = capture(LiveSource(program, config, telemetry=telemetry),
+                     fu_classes)
+    return pack_stream(memory.groups(), fu_classes, name=memory.name,
+                       result=memory.result)
+
+
 def trace_cache_key(program: Program, config: MachineConfig,
                     fu_classes: Optional[Iterable[FUClass]] = None) -> str:
     """Content-addressed cache key for a (program, machine) stream.
@@ -382,18 +399,14 @@ def record_cached(program: Program, config: MachineConfig,
                   key: Optional[str] = None) -> "PackedTrace":
     """Simulate once and write the stream's cache entry.
 
-    The capture is packed after the run (final wrong-path flags),
-    written atomically to the entry's pack file, and returned.
+    The stream is packed by :func:`capture_packed`, written atomically
+    to the entry's pack file, and returned.
     """
-    from .batch.columns import pack_stream
     from .batch.sidecar import write_sidecar
     if key is None:
         key = trace_cache_key(program, config, fu_classes)
     Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    memory = capture(LiveSource(program, config, telemetry=telemetry),
-                     fu_classes)
-    packed = pack_stream(memory.groups(), fu_classes, name=memory.name,
-                         result=memory.result)
+    packed = capture_packed(program, config, fu_classes, telemetry)
     write_sidecar(cache_entry_path(cache_dir, key), packed,
                   config_fingerprint=config.fingerprint())
     return packed
@@ -590,43 +603,11 @@ def prune_trace_cache(cache_dir: PathLike, limit_mb: float,
     return deleted
 
 
-class TelemetryStreamSampler:
-    """Drive a :class:`~repro.telemetry.session.TelemetrySession`'s
-    time-series sampling from a stream's cycle numbers.
-
-    The replay/synthetic stand-in for the live simulator's in-run
-    sampling: a row is taken every ``interval`` stream cycles and once
-    more at :meth:`finalize`, mirroring the run loop's cadence.
-    Pipeline gauges (ROB/RS occupancy) do not exist outside a live run,
-    so replayed rows carry counters and derived rates only.
-    """
-
-    def __init__(self, session, interval: Optional[int] = None):
-        self.session = session
-        if interval is None:
-            interval = session.sample_interval
-        self.interval = interval
-        self._next = interval if interval > 0 else None
-        self._last_cycle = -1
-
-    def __call__(self, group: IssueGroup) -> None:
-        cycle = group.cycle
-        if cycle > self._last_cycle:
-            self._last_cycle = cycle
-        if self._next is not None and cycle >= self._next:
-            self.session.take_sample(cycle)
-            self._next = cycle + self.interval
-
-    def finalize(self) -> None:
-        if self._next is not None and self._last_cycle >= 0:
-            self.session.take_sample(self._last_cycle)
-
-
 __all__ = [
     "IssueConsumer", "IssueSource", "LiveSource", "MemorySource",
     "PackedSource", "ReplaySource", "SyntheticSource", "SOURCE_KINDS",
-    "TelemetryStreamSampler",
-    "cache_entry_path", "capture", "cached_or_record", "cached_source",
+    "cache_entry_path", "capture", "capture_packed", "cached_or_record",
+    "cached_source",
     "drive", "prune_trace_cache", "record", "record_cached",
     "trace_cache_key",
 ]

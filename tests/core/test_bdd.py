@@ -10,9 +10,11 @@ from repro.core.bdd import (BDDPolicy, bdd_allocate_homes, build_bdd,
                             vector_distribution)
 from repro.core.info_bits import CASES, scheme_for
 from repro.core.lut import SteeringLUT, allocate_homes
+from repro.core.power import FUPowerModel
 from repro.core.statistics import CaseStatistics, paper_statistics
 from repro.core.steering import LUTPolicy, PolicyEvaluator, make_policy
-from repro.isa.instructions import FUClass
+from repro.cpu.trace import MicroOp
+from repro.isa.instructions import FUClass, opcode
 from repro.workloads.generators import SyntheticStream
 
 
@@ -143,8 +145,18 @@ class TestBDDPolicy:
         assert policy.scheme is scheme_for(FUClass.IALU)
 
     def test_stateless(self, ialu_stats):
-        policy = make_policy("bdd-4", FUClass.IALU, 4, stats=ialu_stats)
-        assert policy.power_independent
+        # the steering reads only the ops, never the modules' latched
+        # inputs: two fresh policies steer the same ops identically
+        # against an idle and a busy power model
+        ops = [MicroOp(opcode("add"), 1, 2),
+               MicroOp(opcode("add"), 0xFFFFFF9C, 7)]
+        idle = FUPowerModel(FUClass.IALU, 4)
+        busy = FUPowerModel(FUClass.IALU, 4)
+        for module in range(4):
+            busy.account(module, 0xFFFFFFFF - module, 0x12345678)
+        first = make_policy("bdd-4", FUClass.IALU, 4, stats=ialu_stats)
+        second = make_policy("bdd-4", FUClass.IALU, 4, stats=ialu_stats)
+        assert first.assign(ops, idle) == second.assign(ops, busy)
 
     @pytest.mark.parametrize("fu_class", [FUClass.IALU, FUClass.FPAU])
     def test_steering_beats_fcfs(self, fu_class):

@@ -11,7 +11,7 @@ from repro.core.statistics import paper_statistics
 from repro.core.steering import (FullHammingPolicy, LUTPolicy,
                                  OneBitHammingPolicy, OriginalPolicy,
                                  PolicyEvaluator, RoundRobinPolicy,
-                                 SharedEvaluationCoordinator, make_policy)
+                                 make_policy)
 from repro.core.swapping import HardwareSwapper
 from repro.cpu.simulator import Simulator
 from repro.cpu.trace import IssueGroup, MicroOp, TraceCollector
@@ -265,76 +265,6 @@ class TestModuleClamping:
         evaluator(group([add_op(k, k) for k in range(6)]))
         # a router with 2 ports physically sees 2 operations
         assert evaluator.power.operations == 2
-
-
-class TestSharedEvaluationCoordinator:
-    def _stream(self, ialu_stats, cycles=500):
-        return list(SyntheticStream(ialu_stats, seed=3).groups(cycles))
-
-    def test_matches_independent_evaluators(self, ialu_stats):
-        def build():
-            return [
-                PolicyEvaluator(FUClass.IALU, 4, OriginalPolicy()),
-                PolicyEvaluator(FUClass.IALU, 4,
-                                make_policy("lut-4", FUClass.IALU, 4,
-                                            stats=ialu_stats)),
-                PolicyEvaluator(FUClass.IALU, 4, FullHammingPolicy()),
-            ]
-
-        independent = build()
-        coordinator = SharedEvaluationCoordinator(FUClass.IALU)
-        shared = [coordinator.add(ev) for ev in build()]
-        for g in self._stream(ialu_stats):
-            for ev in independent:
-                ev(g)
-            coordinator(g)
-        for ind, sh in zip(independent, shared):
-            assert ind.totals() == sh.totals()
-
-    def test_fu_class_mismatch_rejected(self):
-        coordinator = SharedEvaluationCoordinator(FUClass.IALU)
-        with pytest.raises(ValueError, match="coordinator"):
-            coordinator.add(PolicyEvaluator(FUClass.FPAU, 4,
-                                            OriginalPolicy()))
-
-    def test_ignores_other_class_groups(self):
-        coordinator = SharedEvaluationCoordinator(FUClass.IALU)
-        evaluator = coordinator.add(
-            PolicyEvaluator(FUClass.IALU, 4, OriginalPolicy()))
-        coordinator(group([MicroOp(opcode("fadd"), 1, 2)],
-                          fu_class=FUClass.FPAU))
-        assert evaluator.power.operations == 0
-
-    def test_deferred_evaluator_buffers_until_finalize(self):
-        coordinator = SharedEvaluationCoordinator(FUClass.IALU)
-        deferred = coordinator.add(
-            PolicyEvaluator(FUClass.IALU, 4, OriginalPolicy(),
-                            include_speculative=False))
-        coordinator(group([add_op(1, 2)]))
-        assert deferred.power.operations == 0  # buffered, not yet charged
-        coordinator.finalize()
-        assert deferred.power.operations == 1
-
-    def test_shared_policy_instance_advances_once_per_cycle(self):
-        # one round-robin instance feeding two accounting models must
-        # rotate once per cycle, as a single piece of hardware would
-        policy = RoundRobinPolicy()
-        coordinator = SharedEvaluationCoordinator(FUClass.IALU)
-        first = coordinator.add(PolicyEvaluator(FUClass.IALU, 4, policy))
-        second = coordinator.add(PolicyEvaluator(FUClass.IALU, 4, policy))
-        coordinator(group([add_op(1, 2), add_op(3, 4)]))
-        assert policy._next == 2  # advanced once, not twice
-        assert first.power.operations == 2
-        assert second.power.operations == 2
-
-    def test_totals_in_registration_order(self, ialu_stats):
-        coordinator = SharedEvaluationCoordinator(FUClass.IALU)
-        coordinator.add(PolicyEvaluator(FUClass.IALU, 4, OriginalPolicy()))
-        coordinator.add(PolicyEvaluator(FUClass.IALU, 4,
-                                        RoundRobinPolicy()))
-        coordinator(group([add_op(1, 2)]))
-        labels = [t.policy for t in coordinator.totals()]
-        assert labels == ["original", "round-robin"]
 
 
 class TestWrongPathAccounting:

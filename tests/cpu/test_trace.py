@@ -1,8 +1,7 @@
 """Trace layer tests: micro-ops, issue groups, collectors."""
 
 from repro.cpu.simulator import simulate
-from repro.cpu.trace import (IssueGroup, ListenerFanout, MicroOp,
-                             SimulationResult, TraceCollector)
+from repro.cpu.trace import MicroOp, SimulationResult, TraceCollector
 from repro.isa.instructions import FUClass, opcode
 
 
@@ -46,13 +45,6 @@ class TestCollectors:
         simulate(sum_program, listeners=[collector])
         ialu = list(collector.groups_for(FUClass.IALU))
         assert ialu and all(g.fu_class is FUClass.IALU for g in ialu)
-
-    def test_fanout_delivers_to_all(self):
-        received = [[], []]
-        fanout = ListenerFanout([received[0].append, received[1].append])
-        group = IssueGroup(0, FUClass.IALU, [MicroOp(opcode("add"), 1, 2)])
-        fanout(group)
-        assert received[0] == [group] and received[1] == [group]
 
 
 class TestSimulationResult:

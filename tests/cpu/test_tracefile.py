@@ -7,10 +7,11 @@ import pytest
 
 from repro.cpu.simulator import simulate
 from repro.cpu.trace import TraceCollector
-from repro.cpu.tracefile import (TraceFormatError, TraceWriter, load_trace,
-                                 read_trace_header, replay, save_trace)
+from repro.cpu.tracefile import (TraceFormatError, load_trace,
+                                 read_trace_header, write_trace)
 from repro.core.steering import OriginalPolicy, PolicyEvaluator
 from repro.isa.instructions import FUClass
+from repro.streams import LiveSource, ReplaySource, drive, record
 
 
 class TestRoundTrip:
@@ -18,7 +19,7 @@ class TestRoundTrip:
         collector = TraceCollector()
         simulate(sum_program, listeners=[collector])
         path = tmp_path / "trace.jsonl.gz"
-        count = save_trace(path, collector.groups, name="sum")
+        count = write_trace(path, collector.groups, name="sum")
         assert count == len(collector.groups)
 
         loaded = list(load_trace(path))
@@ -28,22 +29,6 @@ class TestRoundTrip:
             assert restored.fu_class is original.fu_class
             assert restored.ops == original.ops
 
-    def test_live_capture_matches_collector(self, sum_program, tmp_path):
-        path = tmp_path / "live.jsonl.gz"
-        collector = TraceCollector()
-        with TraceWriter(path) as writer:
-            simulate(sum_program, listeners=[writer, collector])
-        assert writer.groups_written == len(collector.groups)
-        # live capture records flags as-issued; the collector's stored
-        # groups get retroactive wrong-path marks — compare modulo that
-        loaded = list(load_trace(path))
-        for disk, kept in zip(loaded, collector.groups):
-            assert disk.cycle == kept.cycle
-            assert disk.fu_class is kept.fu_class
-            for a, b in zip(disk.ops, kept.ops):
-                assert (a.op, a.op1, a.op2, a.has_two, a.static_index) \
-                    == (b.op, b.op1, b.op2, b.has_two, b.static_index)
-
     def test_post_run_save_preserves_wrong_path_flags(self, tmp_path):
         from repro.workloads import workload
         collector = TraceCollector()
@@ -52,15 +37,14 @@ class TestRoundTrip:
                       for op in g.ops if op.speculative)
         assert flagged > 0
         path = tmp_path / "final.jsonl.gz"
-        save_trace(path, collector.groups)
+        write_trace(path, collector.groups)
         reloaded = sum(1 for g in load_trace(path)
                        for op in g.ops if op.speculative)
         assert reloaded == flagged
 
     def test_fu_class_filter(self, sum_program, tmp_path):
         path = tmp_path / "lsu.jsonl.gz"
-        with TraceWriter(path, fu_classes=[FUClass.LSU]) as writer:
-            simulate(sum_program, listeners=[writer])
+        record(LiveSource(sum_program), path, fu_classes=[FUClass.LSU])
         groups = list(load_trace(path))
         assert groups
         assert all(g.fu_class is FUClass.LSU for g in groups)
@@ -70,7 +54,7 @@ class TestRoundTrip:
         path = tmp_path / "meta.jsonl.gz"
         collector = TraceCollector()
         simulate(sum_program, listeners=[collector])
-        save_trace(path, collector.groups, name="sum-loop")
+        write_trace(path, collector.groups, name="sum-loop")
         header = read_trace_header(path)
         assert header["name"] == "sum-loop"
         assert header["version"] == 2
@@ -80,12 +64,13 @@ class TestReplay:
     def test_replay_equals_live_evaluation(self, sum_program, tmp_path):
         path = tmp_path / "replay.jsonl.gz"
         live = PolicyEvaluator(FUClass.IALU, 4, OriginalPolicy())
-        with TraceWriter(path) as writer:
-            simulate(sum_program, listeners=[writer, live])
+        memory = record(LiveSource(sum_program), path,
+                        extra_consumers=[live])
 
         replayed = PolicyEvaluator(FUClass.IALU, 4, OriginalPolicy())
-        count = replay(path, [replayed])
-        assert count == writer.groups_written
+        collector = TraceCollector()
+        drive(ReplaySource(path), [replayed, collector])
+        assert len(collector.groups) == len(memory)
         assert replayed.totals().switched_bits \
             == live.totals().switched_bits
         assert replayed.totals().operations == live.totals().operations
@@ -136,7 +121,7 @@ class TestVersioning:
         for group in groups:
             live(group)
         replayed = PolicyEvaluator(FUClass.IALU, 4, OriginalPolicy())
-        replay(path, [replayed])
+        drive(ReplaySource(path), [replayed])
         assert replayed.totals() == live.totals()
 
     def test_v1_trace_as_replay_source(self, sum_program, tmp_path):
@@ -160,7 +145,7 @@ class TestCorruption:
         collector = TraceCollector()
         simulate(workload("go").build(1), listeners=[collector])
         path = tmp_path / "good.jsonl.gz"
-        save_trace(path, collector.groups)
+        write_trace(path, collector.groups)
         return path
 
     def test_error_is_a_value_error(self):

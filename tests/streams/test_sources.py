@@ -14,12 +14,10 @@ from repro.cpu.simulator import Simulator, simulate
 from repro.cpu.trace import TraceCollector
 from repro.cpu.tracefile import read_trace_header
 from repro.isa.instructions import FUClass
-from repro.runner.faults import FaultInjector
 from repro.streams import (LiveSource, MemorySource, PackedSource,
-                           ReplaySource, SyntheticSource,
-                           TelemetryStreamSampler, capture, cached_source,
-                           drive, record, record_cached, trace_cache_key)
-from repro.telemetry import TelemetryConfig, TelemetrySession
+                           ReplaySource, SyntheticSource, capture,
+                           cached_source, drive, record, record_cached,
+                           trace_cache_key)
 from repro.workloads import workload
 
 
@@ -272,50 +270,3 @@ class TestTraceCache:
         result = drive(PackedSource(found), [replayed])
         assert replayed.totals() == live.totals()
         assert result is found.result
-
-
-class TestTelemetryStreamSampler:
-    def test_samples_at_stream_cadence(self, sum_program):
-        memory = capture(LiveSource(sum_program))
-        session = TelemetrySession(
-            TelemetryConfig(metrics=True, sample_interval=10))
-        sampler = TelemetryStreamSampler(session)
-        assert sampler.interval == 10
-        drive(memory, [sampler])
-        assert session.samples
-        # non-decreasing sample cycles, final sample at stream end
-        cycles = [row["cycle"] for row in session.samples]
-        assert cycles == sorted(cycles)
-        last_cycle = max(group.cycle for group in memory.groups())
-        assert cycles[-1] == last_cycle
-
-    def test_disabled_without_interval(self, sum_program):
-        memory = capture(LiveSource(sum_program))
-        session = TelemetrySession(TelemetryConfig(metrics=True))
-        sampler = TelemetryStreamSampler(session)
-        drive(memory, [sampler])
-        assert session.samples == []
-
-
-class TestFaultStreamConsumer:
-    def test_zero_rate_is_identity(self, sum_program):
-        memory = capture(LiveSource(sum_program), (FUClass.IALU,))
-        clean, hooked = _evaluator(), _evaluator()
-        drive(memory, [clean])
-        injector = FaultInjector(0.0)
-        drive(memory, [injector.stream_consumer(), hooked])
-        assert hooked.totals() == clean.totals()
-        assert injector.flips == 0
-
-    def test_matches_live_simulator_hook(self, sum_program):
-        live = _evaluator()
-        live_injector = FaultInjector(0.5, seed=3)
-        drive(LiveSource(sum_program, fault_injector=live_injector), [live])
-        assert live_injector.flips > 0
-
-        replay_injector = FaultInjector(0.5, seed=3)
-        memory = capture(LiveSource(sum_program))
-        replayed = _evaluator()
-        drive(memory, [replay_injector.stream_consumer(), replayed])
-        assert replay_injector.flips == live_injector.flips
-        assert replayed.totals() == live.totals()

@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.core.steering import (OriginalPolicy, PolicyEvaluator,
-                                 RoundRobinPolicy,
-                                 SharedEvaluationCoordinator)
+                                 RoundRobinPolicy)
 from repro.cpu.config import MachineConfig
 from repro.cpu.simulator import DiagnosticSnapshot, Simulator
 from repro.isa.assembler import assemble
@@ -23,15 +22,14 @@ FULL = TelemetryConfig(metrics=True, sample_interval=50,
 def run_workload(name="compress", scale=40, telemetry=None, config=None):
     sim = Simulator(workload(name).build(scale), config=config,
                     telemetry=telemetry)
-    coordinator = SharedEvaluationCoordinator(FUClass.IALU)
-    coordinator.add(PolicyEvaluator(FUClass.IALU, 4, OriginalPolicy(),
-                                    telemetry=telemetry))
-    coordinator.add(PolicyEvaluator(FUClass.IALU, 4, RoundRobinPolicy(),
-                                    telemetry=telemetry))
-    sim.add_listener(coordinator)
+    evaluators = [PolicyEvaluator(FUClass.IALU, 4, OriginalPolicy(),
+                                  telemetry=telemetry),
+                  PolicyEvaluator(FUClass.IALU, 4, RoundRobinPolicy(),
+                                  telemetry=telemetry)]
+    for evaluator in evaluators:
+        sim.add_listener(evaluator)
     result = sim.run()
-    coordinator.finalize()
-    return sim, result, coordinator
+    return sim, result, evaluators
 
 
 class TestBitIdentical:
@@ -39,9 +37,9 @@ class TestBitIdentical:
         """Recording must never perturb the simulated machine: same
         cycles, same architectural state, same issue stream, same
         policy energy accounting."""
-        sim_off, off, coord_off = run_workload()
+        sim_off, off, evals_off = run_workload()
         session = TelemetrySession(FULL)
-        sim_on, on, coord_on = run_workload(telemetry=session)
+        sim_on, on, evals_on = run_workload(telemetry=session)
 
         assert off.cycles == on.cycles
         assert off.retired_instructions == on.retired_instructions
@@ -49,7 +47,8 @@ class TestBitIdentical:
         assert off.squashed_ops == on.squashed_ops
         assert off.branch_mispredictions == on.branch_mispredictions
         assert sim_off.registers == sim_on.registers
-        for t_off, t_on in zip(coord_off.totals(), coord_on.totals()):
+        for ev_off, ev_on in zip(evals_off, evals_on):
+            t_off, t_on = ev_off.totals(), ev_on.totals()
             assert t_off.switched_bits == t_on.switched_bits
             assert t_off.operations == t_on.operations
 
@@ -70,7 +69,7 @@ class TestBitIdentical:
 class TestRunRecording:
     def test_counters_samples_and_trace(self):
         session = TelemetrySession(FULL)
-        _sim, result, _coord = run_workload(telemetry=session)
+        _sim, result, _evaluators = run_workload(telemetry=session)
 
         counters = session.collect_counters()
         assert counters["retired"] == result.retired_instructions

@@ -296,6 +296,35 @@ class TestCli:
         assert code == 0
         assert "original" in output and "lut-4" in output
 
+    def test_trace_is_record(self, capsys, tmp_path):
+        from repro.cpu.tracefile import load_trace, read_trace_header
+        paths = {}
+        for command in ("trace", "record"):
+            paths[command] = str(tmp_path / f"{command}.trace.gz")
+            code, _ = run_cli(capsys, command, "go", "-o", paths[command])
+            assert code == 0
+        header = read_trace_header(paths["trace"])
+        assert header == read_trace_header(paths["record"])
+        assert header["config"] and header["result"]
+        traced = list(load_trace(paths["trace"]))
+        assert traced == list(load_trace(paths["record"]))
+        # the wrong-path flags are final, not as issued
+        assert any(op.speculative for group in traced for op in group.ops)
+
+    @pytest.mark.parametrize("argv", [
+        ["record", "go", "-o", "x.gz", "--fu", "bogus"],
+        ["trace", "go", "-o", "x.gz", "--fu", "bogus"],
+        ["replay", "t.gz", "--fu", "imult"],
+    ])
+    def test_fu_checked_at_parse_time(self, capsys, tmp_path, monkeypatch,
+                                      argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "x.gz").exists()
+
     def test_figure4_cache_dir_second_run_hits(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
         argv = ("figure4", "ialu", "--scale", "1",

@@ -10,8 +10,8 @@ from repro.core import (HardwareSwapper, choose_swap_case, make_policy,
                         scheme_for)
 from repro.core.steering import OriginalPolicy, PolicyEvaluator
 from repro.cpu import Simulator, TraceCollector, run_program
-from repro.cpu.tracefile import TraceWriter, replay
 from repro.isa.instructions import FUClass
+from repro.streams import LiveSource, ReplaySource, drive, record
 from repro.workloads import all_workloads, workload
 
 
@@ -82,14 +82,10 @@ class TestTraceReplayFidelity:
 
         live = make_evaluator()
         path = tmp_path / "cc1.trc.gz"
-        sim = Simulator(program)
-        with TraceWriter(path) as writer:
-            sim.add_listener(writer)
-            sim.add_listener(live)
-            sim.run()
+        record(LiveSource(program), path, extra_consumers=[live])
 
         replayed = make_evaluator()
-        replay(path, [replayed])
+        drive(ReplaySource(path), [replayed])
         assert replayed.totals().switched_bits \
             == live.totals().switched_bits
         assert replayed.totals().hardware_swaps \
